@@ -8,11 +8,11 @@
 //                spin->yield->sleep backoff, then a full-bitset
 //                CtrlMerge to every shard queues behind the storm;
 //   fast         the low-latency pipeline (FastUpdates on): the
-//                detecting shard fans the transition out to its own
-//                subscribed switches immediately, the controller is
-//                woken through an eventfd/self-pipe, and propagation to
-//                other shards is an event-id delta routed by the
-//                subscription index.
+//                detecting shard pushes an event-id delta, routed by
+//                the subscription index, onto every other subscribed
+//                shard's priority lane, then fans the transition out to
+//                its own subscribed switches; the controller only
+//                records the event, off the critical path.
 //
 // Each row aggregates many *fresh* engines (the ring program fires its
 // probe event once per engine), injecting the whole storm open-loop —

@@ -119,6 +119,7 @@ Engine::Engine(const nes::Nes &N, const topo::Topology &Topo,
   DetectNs.reserve(N.numEvents());
   for (unsigned E = 0; E != N.numEvents(); ++E)
     DetectNs.push_back(std::make_unique<std::atomic<int64_t>>(-1));
+  LearnNs.assign(static_cast<size_t>(Idx.numSwitches()) * N.numEvents(), -1);
 
   if (C.FastUpdates)
     buildSubscriptions();
@@ -145,9 +146,6 @@ void Engine::buildSubscriptions() {
   unsigned NE = N.numEvents();
   SubSwitches.assign(static_cast<size_t>(NE) * C.NumShards, {});
   SubShards.assign(NE, {});
-  OwnedDense.assign(C.NumShards, {});
-  for (uint32_t D = 0; D != Idx.numSwitches(); ++D)
-    OwnedDense[Slots[D].Shard].push_back(D);
 
   // Does event E's arrival matter to dense switch D? Two ways:
   //  - config dependence: adding E to some family set changes D's
@@ -155,11 +153,13 @@ void Engine::buildSubscriptions() {
   //  - detection relevance: E shares a family set with an event
   //    detectable at D, so D's register content (enables/con inputs of
   //    the SWITCH rule) can gate a future local detection.
-  // The family and event counts are small (NESes compiled from programs
-  // are tiny), so the quadratic sweep is construction noise.
+  // Under explicit broadcast every switch counts (the every-switch-
+  // learns contract). The family and event counts are small (NESes
+  // compiled from programs are tiny), so the quadratic sweep is
+  // construction noise.
   std::vector<char> Sub(Idx.numSwitches());
   for (unsigned E = 0; E != NE; ++E) {
-    std::fill(Sub.begin(), Sub.end(), 0);
+    std::fill(Sub.begin(), Sub.end(), C.CtrlBroadcast);
     for (nes::SetId S = 0; S != N.numSets(); ++S) {
       const DenseBitSet &Bits = N.setBits(S);
       if (Bits.test(E)) {
@@ -264,7 +264,8 @@ uint64_t Engine::streamBacklog() {
 // The data path (owner-thread only)
 //===----------------------------------------------------------------------===//
 
-void Engine::applyRegister(Shard &S, SwitchSlot &Sl, const DenseBitSet &NewE) {
+void Engine::applyRegister(Shard &S, uint32_t Dense, const DenseBitSet &NewE) {
+  SwitchSlot &Sl = Slots[Dense];
   auto TagOpt = N.setIndex(NewE);
   assert(TagOpt && "switch register left the NES family (Lemma 3)");
   if (!TagOpt)
@@ -272,11 +273,13 @@ void Engine::applyRegister(Shard &S, SwitchSlot &Sl, const DenseBitSet &NewE) {
 
   // One monotonic clock for the whole update-latency measurement:
   // DetectNs and LearnNs are both raw monotonicNs(), so the Transition
-  // digest is a pure difference on one time base.
+  // digest is a pure difference on one time base. Registers only grow,
+  // so a bit new to Sl.E is a first learn and its slot is still unset.
   int64_t Now = monotonicNs();
+  int64_t *Learn = &LearnNs[static_cast<size_t>(Dense) * N.numEvents()];
   NewE.forEach([&](unsigned E) {
     if (!Sl.E.test(E)) {
-      S.LearnNs.try_emplace({Sl.Id, static_cast<nes::EventId>(E)}, Now);
+      Learn[E] = Now;
       obsRecord(S, obs::TraceKind::RegisterLearn,
                 static_cast<uint32_t>(Sl.Id), E);
     }
@@ -563,23 +566,26 @@ void Engine::processPacket(Shard &S, EnginePacket &P) {
       DetectNs[E]->compare_exchange_strong(Expected, monotonicNs());
       obsRecord(S, obs::TraceKind::EventDetect, E,
                 static_cast<uint32_t>(Sl.Id));
-      Pending.fetch_add(1);
-      // CtrlQ is sized far beyond the event count (each event is
-      // detected once) and the controller always drains, so a plain
-      // yield on the full path cannot deadlock.
-      CtrlQ->pushBlocking(static_cast<uint32_t>(E));
       if (C.FastUpdates) {
-        // Shard-local fast path: every subscribed switch this shard
-        // owns transitions now, one function call after detection —
-        // no queue hop, no controller wake on the critical path. Ext
+        // The fast path never waits on the controller. Deltas go out
+        // first, so the other shards' workers merge in parallel with
+        // the local fan-out; then every subscribed switch this shard
+        // owns transitions, one function call after detection. Ext
         // (this detection's consistent extension: register + digest +
         // fresh events + E, all occurred) rides along as the causal
-        // context for switches whose registers lack E's causes. The
-        // wake comes second: notifying first can hand an oversubscribed
-        // core to the controller ahead of the fan-out.
+        // context for switches whose registers lack E's causes.
+        sendDeltas(S, E, S.ScratchExt);
         fanOutLocal(S, E, D, S.ScratchExt);
-        CtrlWake.notify();
       }
+      // CTRLRECV still hears every event. CtrlQ is sized far beyond the
+      // event count (each event is detected once) and the controller
+      // always drains, so a plain yield on the full path cannot
+      // deadlock. The wake comes last: notifying earlier can hand an
+      // oversubscribed core to the controller ahead of the fan-out.
+      Pending.fetch_add(1);
+      CtrlQ->pushBlocking(static_cast<uint32_t>(E));
+      if (C.FastUpdates)
+        CtrlWake.notify();
     }
   }
 
@@ -598,7 +604,7 @@ void Engine::processPacket(Shard &S, EnginePacket &P) {
     NewE |= Known;
     NewE |= Fresh;
     if (NewE != Sl.E)
-      applyRegister(S, Sl, NewE);
+      applyRegister(S, D, NewE);
     DenseBitSet &OutDigest = S.ScratchDigest;
     OutDigest = P.Digest;
     OutDigest |= NewE;
@@ -663,7 +669,20 @@ void Engine::mergeEventInto(Shard &S, uint32_t Dense, unsigned E,
     // context would have applied.
     NewE |= Ctx;
   }
-  applyRegister(S, Sl, NewE);
+  applyRegister(S, Dense, NewE);
+}
+
+void Engine::sendDeltas(Shard &S, unsigned E, const DenseBitSet &Ctx) {
+  for (uint32_t T : SubShards[E]) {
+    if (T == S.Index)
+      continue; // fanOutLocal covers the detecting shard
+    Msg M;
+    M.K = Msg::CtrlDelta;
+    M.Event = E;
+    M.Merge = Ctx;
+    sendToShard(T, std::move(M));
+    CtrlDeltas.add();
+  }
 }
 
 void Engine::fanOutLocal(Shard &S, unsigned E, uint32_t DetectDense,
@@ -721,27 +740,19 @@ void Engine::processMsg(Shard &S, Msg &M) {
         continue;
       DenseBitSet NewE = Sl.E | M.Merge;
       if (NewE != Sl.E)
-        applyRegister(S, Sl, NewE);
+        applyRegister(S, D, NewE);
     }
     break;
   case Msg::CtrlDelta:
-    // CTRLSEND, delta form: one event id, merged as a single-event
-    // union in the common case; M.Merge (the controller's occurred set)
-    // is the causal fallback for registers that lack the event's
-    // enabling chain. Under explicit broadcast every owned register
-    // learns it (the historical contract); otherwise only the
-    // subscribed switches do — the rest would not change their table or
-    // detection behavior, so routing past them only removes queue
-    // traffic.
-    if (C.CtrlBroadcast) {
-      for (uint32_t D : OwnedDense[S.Index])
-        mergeEventInto(S, D, M.Event, M.Merge);
-    } else {
-      const auto &Subs =
-          SubSwitches[static_cast<size_t>(M.Event) * C.NumShards + S.Index];
-      for (uint32_t D : Subs)
-        mergeEventInto(S, D, M.Event, M.Merge);
-    }
+    // A detecting shard's delta: one event id, merged into this shard's
+    // subscribed switches as a single-event union in the common case;
+    // M.Merge (the detection's consistent extension) is the causal
+    // fallback for registers that lack the event's enabling chain.
+    // Unsubscribed switches would not change their table or detection
+    // behavior (under explicit broadcast every switch subscribes).
+    for (uint32_t D :
+         SubSwitches[static_cast<size_t>(M.Event) * C.NumShards + S.Index])
+      mergeEventInto(S, D, M.Event, M.Merge);
     break;
   }
   // Pending accounting happens per batch (drainBatch), not per message.
@@ -828,8 +839,13 @@ void Engine::drainSelf(Shard &S) {
   // Self-delivery: hops that stay on this shard never touch the MPSC
   // ring (no cell copies, no queue atomics, no Pending churn) — they
   // are drained in place until every chain ends or leaves the shard.
+  // A chain can stay on the shard for many rounds, so the control lane
+  // is polled between rounds: a delta waits for at most one round of
+  // hops, not for a whole ring batch of chains.
   MsgBuf &Self = S.OutBufs[S.Index];
   while (Self.size() != 0) {
+    if (S.CtrlLaneSize.load(std::memory_order_acquire) != 0)
+      drainCtrlLane(S);
     std::swap(S.SelfProc, Self);
     for (size_t I = 0; I != S.SelfProc.size(); ++I) {
       if (I + 1 != S.SelfProc.size())
@@ -1035,40 +1051,22 @@ void Engine::controllerLoop() {
     if (CtrlQ->tryPop(E)) {
       Spins = 0;
       SleepUs = 1;
-      // CTRLRECV: fold the event into R once.
+      // CTRLRECV: fold the event into R once. Under FastUpdates the
+      // detecting worker already sent the deltas (sendDeltas); the
+      // legacy path broadcasts the full set here.
       if (!Occurred.test(E)) {
         Occurred.set(E);
         Events.add();
-        if (C.FastUpdates) {
-          // CTRLSEND, delta form: one event id per shard that hosts a
-          // subscriber (or per shard, under explicit broadcast) instead
-          // of O(NumShards) full-bitset copies — independent concurrent
-          // updates pipeline instead of serializing on set merges.
-          auto SendDelta = [&](uint32_t I) {
-            Msg M;
-            M.K = Msg::CtrlDelta;
-            M.Event = E;
-            // Occurred rides along as the causal-fallback context: a
-            // register missing one of E's causes merges the full set
-            // (exactly what the legacy CtrlMerge would have applied)
-            // instead of leaving the NES family.
-            M.Merge = Occurred;
-            sendToShard(I, std::move(M));
-            CtrlDeltas.add();
-          };
-          if (C.CtrlBroadcast)
-            for (uint32_t I = 0; I != C.NumShards; ++I)
-              SendDelta(I);
-          else
-            for (uint32_t I : SubShards[E])
-              SendDelta(I);
-        } else if (C.CtrlBroadcast)
+        auto Broadcast = [&] {
           for (uint32_t I = 0; I != C.NumShards; ++I) {
             Msg M;
             M.K = Msg::CtrlMerge;
             M.Merge = Occurred;
             sendToShard(I, std::move(M));
           }
+        };
+        if (!C.FastUpdates && C.CtrlBroadcast)
+          Broadcast();
         if (C.Faults && C.Faults->plan().CtrlStormRepeat) {
           // Controller event storm: re-broadcast the merged set to every
           // shard CtrlStormRepeat extra times. Semantically idempotent
@@ -1076,12 +1074,7 @@ void Engine::controllerLoop() {
           // the overload policy without changing the reachable configs.
           uint32_t Reps = C.Faults->plan().CtrlStormRepeat;
           for (uint32_t R = 0; R != Reps; ++R)
-            for (uint32_t I = 0; I != C.NumShards; ++I) {
-              Msg M;
-              M.K = Msg::CtrlMerge;
-              M.Merge = Occurred;
-              sendToShard(I, std::move(M));
-            }
+            Broadcast();
           FaultStorms.add(static_cast<uint64_t>(Reps) * C.NumShards);
           faults::FaultRecord SR;
           SR.K = faults::FaultKind::Storm;
@@ -1229,16 +1222,9 @@ void Engine::mergeResults() {
     MergedTags.push_back(R->Tag);
   }
 
-  // Learn times: merge the per-shard monotonic stamps and derive the
-  // Figure 16(b) seconds-after-start map on the same clock.
-  int64_t Base = StartNs.load();
-  for (auto &S : Shards) {
+  for (auto &S : Shards)
     MergedDeliveries.insert(MergedDeliveries.end(), S->Delivered.begin(),
                             S->Delivered.end());
-    for (const auto &[Key, LearnAt] : S->LearnNs)
-      MergedLearnTimes.emplace(
-          Key, static_cast<double>(LearnAt - Base) * 1e-9);
-  }
 
   // Fault ledger: collect the per-shard records (owner-written, read
   // post-join) and remap the excused/duplicate tickets into merged
@@ -1316,14 +1302,22 @@ void Engine::mergeResults() {
     FinalStats.PacketsPerSec = FinalStats.PacketsProcessed / ElapsedSec;
     FinalStats.DeliveredPerSec = FinalStats.PacketsDelivered / ElapsedSec;
   }
-  // Update latency (detection -> each register learn) through an obs
+  // Learn times on the Figure 16(b) seconds-after-start clock, and the
+  // update latency (detection -> each register learn) through an obs
   // histogram, so the digest carries percentiles, not just mean/max.
   // Post-run cost only: the samples are by-products of the protocol,
   // and both stamps come from monotonicNs() — no wall-clock skew.
+  int64_t Base = StartNs.load();
+  unsigned NE = N.numEvents();
   obs::LogHistogram UpdateNs;
-  for (auto &S : Shards)
-    for (const auto &[Key, LearnAt] : S->LearnNs) {
-      int64_t Ns = DetectNs[Key.second]->load();
+  for (uint32_t D = 0; D != Idx.numSwitches(); ++D)
+    for (unsigned E = 0; E != NE; ++E) {
+      int64_t LearnAt = LearnNs[static_cast<size_t>(D) * NE + E];
+      if (LearnAt < 0)
+        continue;
+      MergedLearnTimes.emplace(std::make_pair(Slots[D].Id, nes::EventId(E)),
+                               static_cast<double>(LearnAt - Base) * 1e-9);
+      int64_t Ns = DetectNs[E]->load();
       if (Ns < 0)
         continue;
       int64_t Lat = LearnAt - Ns;

@@ -9,7 +9,9 @@
 /// The concurrent execution substrate for compiled NESes: N worker
 /// threads each own a shard of the topology's switches and exchange
 /// packets over lock-free MPSC queues; a controller thread plays the
-/// Figure 7 CTRLRECV/CTRLSEND roles. Per-switch event registers are
+/// Figure 7 CTRLRECV role, and CTRLSEND on the legacy update path (on
+/// the fast path the detecting worker sends the deltas itself; see
+/// EngineConfig::FastUpdates). Per-switch event registers are
 /// single-writer (the owning shard), so the Section 4 tag/digest
 /// protocol runs without locks:
 ///
@@ -111,27 +113,28 @@ struct EngineConfig {
   unsigned IdleSleepUs = 128;
   /// Per-shard queue capacity (rounded up to a power of two).
   size_t QueueCapacity = 1 << 15;
-  /// Controller re-broadcasts its event set to every switch (CTRLSEND),
-  /// accelerating discovery beyond digest gossip. Off by default, like
-  /// the simulator.
+  /// Every switch learns every event (CTRLSEND to all), accelerating
+  /// discovery beyond digest gossip: under FastUpdates every switch
+  /// subscribes to every event's deltas, otherwise the controller
+  /// re-broadcasts its event set. Off by default, like the simulator.
   bool CtrlBroadcast = false;
-  /// The low-latency update pipeline: (a) a shard that detects an event
-  /// applies the transition to its own subscribed switches immediately
-  /// (the per-switch RCU view swap publishes each register
-  /// independently, so no controller round-trip is needed); (b) the
-  /// controller propagates event-id deltas routed by a load-time
-  /// event->shard subscription index instead of full-bitset broadcasts,
-  /// delivered over a per-shard priority lane that bypasses the data
-  /// ring (a delta never queues behind a storm backlog);
-  /// (c) the controller sleeps on an eventfd/self-pipe wake instead of
-  /// the spin->yield->sleep backoff (whose IdleSleepUs cap is otherwise
-  /// a built-in latency floor). Off = the historical controller path,
+  /// The low-latency update pipeline. The shard that detects an event
+  /// (a) pushes a single-event delta onto the priority lane of every
+  /// *other* shard the load-time event->shard subscription index names
+  /// (the lane bypasses the data ring, so a delta never queues behind a
+  /// storm backlog, and the receiving worker polls it between
+  /// self-delivery rounds), then (b) applies the transition to its own
+  /// subscribed switches (the per-switch RCU view swap publishes each
+  /// register independently). No delta waits on the controller, which
+  /// (c) still folds the event into its occurred set (CTRLRECV) and
+  /// sleeps on an eventfd/self-pipe wake instead of the
+  /// spin->yield->sleep backoff. Off = the historical controller path,
   /// kept so benches can measure both pipelines in one binary. Either
   /// way, merging a detected event into a register is the same
   /// union-with-occurred-events step CtrlBroadcast has always taken
   /// (single-event unions that would leave the NES family — the target
   /// register missing one of the event's causes — fall back to merging
-  /// the sender's occurred-event context), so Definition 6 is
+  /// the detection's consistent extension), so Definition 6 is
   /// unaffected.
   bool FastUpdates = true;
   /// Hosts answer echo requests in-engine (KindRequest -> KindReply).
@@ -425,19 +428,16 @@ private:
     /// Priority control lane (FastUpdates): CtrlDelta messages bypass
     /// the data ring entirely, so an update is never stuck behind a
     /// storm backlog of data packets — the owner drains this lane ahead
-    /// of every ring batch. Single producer (the controller thread),
-    /// single consumer (the owner); Size is the owner's cheap
-    /// emptiness probe, so the common empty case costs one relaxed
-    /// load, no lock.
+    /// of every ring batch and between self-delivery rounds. Many
+    /// producers (whichever worker detected the event), single consumer
+    /// (the owner), serialized by CtrlMu; Size is the owner's cheap
+    /// emptiness probe, so the common empty case costs one load, no
+    /// lock.
     std::mutex CtrlMu;
     std::deque<Msg> CtrlLane;
     std::atomic<uint32_t> CtrlLaneSize{0};
     std::vector<TraceRec> Trace;
     std::vector<std::pair<HostId, netkat::Packet>> Delivered;
-    /// First-learn stamp per (switch, event), raw monotonicNs() — the
-    /// same clock as DetectNs, so the Transition digest is a pure
-    /// monotonic difference (no wall-clock skew can enter it).
-    std::map<std::pair<SwitchId, nes::EventId>, int64_t> LearnNs;
     RetireList<SwitchView> Retired;
     std::thread Thread;
     std::vector<netkat::Packet> Outs; ///< scratch (FDD-walk oracle path)
@@ -512,11 +512,15 @@ private:
   /// dense switches care about each event, grouped by owning shard, plus
   /// the per-event list of shards with at least one subscriber.
   void buildSubscriptions();
+  /// Pushes a CtrlDelta for \p E, carrying \p Ctx as its causal
+  /// fallback, onto the priority lane of every subscribed shard other
+  /// than the detecting shard \p S.
+  void sendDeltas(Shard &S, unsigned E, const DenseBitSet &Ctx);
   /// Shard-local fast path: the detecting shard applies \p E to its own
-  /// subscribed switches immediately (one RCU swap each), before the
-  /// controller round-trip. \p DetectDense learns via the SWITCH rule's
-  /// own Fresh merge and is skipped here. \p Ctx is the detection's
-  /// consistent extension — occurred events covering \p E's causes.
+  /// subscribed switches immediately (one RCU swap each). \p DetectDense
+  /// learns via the SWITCH rule's own Fresh merge and is skipped here.
+  /// \p Ctx is the detection's consistent extension — occurred events
+  /// covering \p E's causes.
   void fanOutLocal(Shard &S, unsigned E, uint32_t DetectDense,
                    const DenseBitSet &Ctx);
   /// Merges the single event \p E into \p Dense's register if new. When
@@ -530,7 +534,8 @@ private:
   size_t drainCtrlLane(Shard &S);
   size_t drainBatch(Shard &S);
   /// Drains OutBufs[S.Index] in place (self-delivered hops never touch
-  /// the ring or Pending) until every chain ends or leaves the shard.
+  /// the ring or Pending) until every chain ends or leaves the shard,
+  /// draining the control lane before each round.
   void drainSelf(Shard &S);
   /// Releases delay-held messages whose poll deadline passed.
   void releaseDelayed(Shard &S);
@@ -547,7 +552,7 @@ private:
   void processPacket(Shard &S, EnginePacket &P);
   void forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
                   const netkat::Packet &Out, const DenseBitSet &OutDigest);
-  void applyRegister(Shard &S, SwitchSlot &Sl, const DenseBitSet &NewE);
+  void applyRegister(Shard &S, uint32_t Dense, const DenseBitSet &NewE);
   void sendToShard(uint32_t Target, Msg &&M);
   /// Pushes \p N already-Pending-counted messages into \p Target's ring
   /// (batch CAS), spilling leftovers to the overflow deque. Stamps each
@@ -606,12 +611,11 @@ private:
   /// [E * NumShards + S]. A switch subscribes to an event iff adding it
   /// to some family set changes the switch's table, or the event shares
   /// a family set with an event detectable at the switch (so its arrival
-  /// can gate a future local detection via enables/con).
+  /// can gate a future local detection via enables/con). Under
+  /// CtrlBroadcast every switch subscribes to every event.
   std::vector<std::vector<uint32_t>> SubSwitches;
   /// Shards with at least one subscriber, per event (delta routing).
   std::vector<std::vector<uint32_t>> SubShards;
-  /// Dense switches owned by each shard (explicit-broadcast deltas).
-  std::vector<std::vector<uint32_t>> OwnedDense;
 
   mutable EpochDomain Epochs;
   std::atomic<uint64_t> Tickets{0};
@@ -625,7 +629,7 @@ private:
 
   // Counters (cache-line padded, relaxed; see Stats.h).
   RelaxedCounter Injected, Delivered, Dropped, Forwarded, Events;
-  RelaxedCounter CtrlDeltas; ///< delta messages routed by the controller
+  RelaxedCounter CtrlDeltas; ///< deltas detecting workers sent other shards
 
   // Fault injection. FaultArmed is per dense switch, read-only after
   // construction; StormRecs is controller-thread private until join.
@@ -635,6 +639,12 @@ private:
       FaultStalls, FaultStorms, DupDelivered, DupDropped;
   faults::FaultLedger Ledger; ///< assembled by mergeResults()
   std::vector<std::unique_ptr<std::atomic<int64_t>>> DetectNs; ///< per event
+  /// First-learn stamp per (dense switch D, event E) at
+  /// [D * numEvents + E], raw monotonicNs(), -1 until learned — the same
+  /// clock as DetectNs, so the Transition digest is a pure monotonic
+  /// difference. A slot is written only by its switch's owning shard
+  /// and read after the join.
+  std::vector<int64_t> LearnNs;
   double ElapsedSec = 0;
   std::atomic<bool> Ran{false};
 

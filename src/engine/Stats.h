@@ -107,9 +107,10 @@ struct Stats {
   uint64_t ConfigTransitions = 0;
 
   /// Fast-update pipeline tallies (zero when EngineConfig::FastUpdates
-  /// is off): registers advanced by the detecting shard's local fan-out
-  /// before any controller round-trip, and event-id delta messages the
-  /// controller routed in place of full-set broadcasts.
+  /// is off): registers advanced by the detecting shard's local fan-out,
+  /// and event-id delta messages the detecting shard pushed onto other
+  /// shards' priority lanes (never one back to itself, so a 1-shard run
+  /// sends none).
   uint64_t FastPathLearns = 0;
   uint64_t CtrlDeltas = 0;
 

@@ -198,8 +198,9 @@ TEST(Facade, EngineObservabilityEndToEnd) {
     SawInject |= E.Kind == obs::TraceKind::Inject;
     SawHop |= E.Kind == obs::TraceKind::Hop;
     EXPECT_LT(E.Shard, 2u);
-    if (I)
+    if (I) {
       EXPECT_LE(R->ObsTrace[I - 1].TsNs, E.TsNs) << "unsorted at " << I;
+    }
   }
   EXPECT_TRUE(SawInject);
   EXPECT_TRUE(SawHop);

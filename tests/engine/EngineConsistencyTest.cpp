@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 
 using namespace eventnet;
 using namespace eventnet::engine;
@@ -417,6 +418,40 @@ TEST(EngineUpdatePipeline, FastAndControllerPathsConvergeToSameViews) {
     EXPECT_EQ(F.Tag, L.Tag) << "switch " << Sw;
     EXPECT_TRUE(F.E == L.E) << "switch " << Sw << ": registers differ";
     EXPECT_EQ(F.Version, L.Version) << "switch " << Sw;
+  }
+}
+
+TEST(EngineUpdatePipeline, DetectingShardSendsDeltasOnlyToOtherShards) {
+  // One probe fires the ring's event. The detecting worker pushes the
+  // delta to the other subscribed shard itself and fans out locally, so
+  // exactly one delta crosses shards at 2 shards and none at 1 — no
+  // delta comes back to the detector. Every switch still learns, each
+  // learn is stamped exactly once, and the trace passes Definition 6.
+  apps::App A = apps::ringApp(16, 8);
+  api::Result<api::Compilation> C = compileApp(A);
+  ASSERT_TRUE(C.ok()) << C.status().str();
+
+  for (unsigned Shards : {1u, 2u}) {
+    EngineConfig Cfg;
+    Cfg.NumShards = Shards;
+    Cfg.Partition = PartitionStrategy::Refined;
+    Engine E(C->structure(), A.Topo, Cfg);
+    TrafficGen G(A.Topo, 5);
+    E.run(G.probe(topo::HostH1, topo::HostH2));
+
+    Stats St = E.stats();
+    EXPECT_EQ(St.EventsDetected, 1u) << "shards=" << Shards;
+    EXPECT_EQ(St.CtrlDeltas, Shards - 1) << "shards=" << Shards;
+    std::set<SwitchId> Learned;
+    for (const auto &Entry : E.learnTimes())
+      Learned.insert(Entry.first.first);
+    EXPECT_EQ(Learned.size(), A.Topo.switches().size())
+        << "shards=" << Shards;
+    EXPECT_EQ(E.transitionLatenciesNs().size(), E.learnTimes().size())
+        << "shards=" << Shards;
+    auto R =
+        consistency::checkAgainstNes(E.trace(), A.Topo, C->structure());
+    EXPECT_TRUE(R.Correct) << "shards=" << Shards << ": " << R.Reason;
   }
 }
 

@@ -69,8 +69,9 @@ TEST(Histogram, BucketGeometryInvariants) {
       double Bound = static_cast<double>(V) * (1.0 + 1.0 / 32.0) + 1;
       EXPECT_LE(static_cast<double>(Edge), Bound) << V;
     }
-    if (B > 0)
+    if (B > 0) {
       EXPECT_LT(LogHistogram::bucketUpperEdge(B - 1), Edge);
+    }
   }
 }
 
