@@ -1,30 +1,23 @@
 //===- bench/engine_throughput.cpp - Sharded engine throughput -----------===//
 //
 // Packets/sec of the concurrent data-plane engine on the Section 5.2
-// ring and on a 4-ary fat-tree, comparing the two lookup paths side by
-// side per shard count (1/2/4/8):
+// ring and on a 4-ary fat-tree per shard count (1/2/4/8), on the
+// engine's one lookup path: the contiguous classifier program with the
+// batched, zero-allocation hot loop (batch 32). The `path` column keeps
+// the constant value "classifier" because it is part of the row key
+// scripts/run_benches.py --compare matches on.
 //
-//   fdd-walk     the flattened-FDD-walk oracle lookup (heap-allocating
-//                emission) with message-at-a-time dequeue (batch 1);
-//   classifier   the contiguous classifier program with the batched,
-//                zero-allocation hot loop (batch 32).
-//
-// Both rows run on today's engine — the recycled buffers, self-delivery
-// short-circuit, and steady-state digest path are active in both — so
-// speedup_vs_walk isolates the lookup + batching win, not the whole PR's
-// before/after (the pre-PR engine is slower than the fdd-walk rows; see
-// the README table's note). Each measurement is preceded by a warmup run
-// of the same shape (page faults, malloc pools, interned symbols; the
-// egress freelists are pre-sized from the batch size, so steady-state
-// freelist_growth must read 0), timed with steady_clock. A final checked
-// run per path replays a recorded concurrent trace through the
-// Definition 6 oracle to show the fast path is still the correct
-// protocol. The single-threaded sim::Simulation Nes mode provides the
-// historical baseline row.
+// Each measurement is preceded by a warmup run of the same shape (page
+// faults, malloc pools, interned symbols; the egress freelists are
+// pre-sized from the batch size, so steady-state freelist_growth must
+// read 0), timed with steady_clock. A final checked run replays a
+// recorded concurrent trace through the Definition 6 oracle to show the
+// fast path is still the correct protocol. The single-threaded
+// sim::Simulation Nes mode provides the historical baseline row.
 //
 // The shard sweep doubles as the parallel-scaling measurement: every
 // row records scaling_efficiency = hops/s at N shards divided by
-// (hops/s at 1 shard × N) for its topology × path, plus the weighted
+// (hops/s at 1 shard × N) for its topology, plus the weighted
 // inter-shard edge cut the chosen partition achieved, and the JSON
 // carries hw_threads so gates can tell real scaling failures from
 // plain lack of cores.
@@ -44,7 +37,6 @@
 
 #include <cstring>
 #include <iostream>
-#include <map>
 #include <string>
 #include <thread>
 
@@ -88,16 +80,10 @@ SimBaseline simBaseline(const nes::Nes &N, const topo::Topology &Topo,
 }
 
 engine::Stats engineRun(const nes::Nes &N, const topo::Topology &Topo,
-                        unsigned Shards, bool Classifier, HostId From,
-                        HostId To, const BenchOpts &O,
-                        uint64_t Packets) {
+                        unsigned Shards, HostId From, HostId To,
+                        const BenchOpts &O, uint64_t Packets) {
   engine::EngineConfig Cfg;
   Cfg.NumShards = Shards;
-  Cfg.UseClassifier = Classifier;
-  // fdd-walk rows: oracle lookup, message-at-a-time dequeue. classifier
-  // rows: the full fast path. (See the file header for what this pair
-  // does and does not isolate.)
-  Cfg.BatchSize = Classifier ? 32 : 1;
   Cfg.Partition = O.Partition;
   Cfg.RecordTrace = false; // pure throughput
   Cfg.RecordDeliveries = false;
@@ -114,12 +100,10 @@ engine::Stats engineRun(const nes::Nes &N, const topo::Topology &Topo,
 /// static-routing Nes) report zero samples, rendered as 0.
 engine::LatencyDigest updateLatencyRun(const nes::Nes &N,
                                        const topo::Topology &Topo,
-                                       unsigned Shards, bool Classifier,
+                                       unsigned Shards,
                                        const BenchOpts &O) {
   engine::EngineConfig Cfg;
   Cfg.NumShards = Shards;
-  Cfg.UseClassifier = Classifier;
-  Cfg.BatchSize = Classifier ? 32 : 1;
   Cfg.Partition = O.Partition;
   Cfg.RecordTrace = false;
   Cfg.RecordDeliveries = false;
@@ -134,11 +118,10 @@ engine::LatencyDigest updateLatencyRun(const nes::Nes &N,
 
 /// A smaller recorded run replayed through the Definition 6 checker.
 bool checkedRun(const nes::Nes &N, const topo::Topology &Topo,
-                unsigned Shards, bool Classifier, HostId From, HostId To,
+                unsigned Shards, HostId From, HostId To,
                 const BenchOpts &O) {
   engine::EngineConfig Cfg;
   Cfg.NumShards = Shards;
-  Cfg.UseClassifier = Classifier;
   Cfg.Partition = O.Partition;
   engine::Engine E(N, Topo, Cfg);
   engine::TrafficGen G(Topo, O.Seed);
@@ -150,64 +133,45 @@ void benchTopology(const char *Name, const nes::Nes &N,
                    const topo::Topology &Topo, HostId From, HostId To,
                    const BenchOpts &O, TextTable &T) {
   SimBaseline Sim = simBaseline(N, Topo, From, To, O);
-  // hops/sec of the fdd-walk path per shard count, for the speedup
-  // column of the classifier rows.
-  std::map<unsigned, double> WalkHops;
-  // hops/sec at 1 shard per path, the scaling_efficiency denominator.
-  std::map<bool, double> OneShardHops;
+  // hops/sec at 1 shard, the scaling_efficiency denominator.
+  double OneShardHops = 0;
 
   for (unsigned Shards : {1u, 2u, 4u, 8u}) {
-    for (bool Classifier : {false, true}) {
-      // Warmup: a shorter run of the same shape on a throwaway engine
-      // (an Engine runs one workload), then the measured run.
-      warmupRuns(O.Warmup, [&] {
-        engineRun(N, Topo, Shards, Classifier, From, To, O,
-                  O.BulkPackets / 4 + 1);
-      });
-      engine::Stats S = engineRun(N, Topo, Shards, Classifier, From, To,
-                                  O, O.BulkPackets);
-      engine::LatencyDigest Lat =
-          updateLatencyRun(N, Topo, Shards, Classifier, O);
-      bool Ok = checkedRun(N, Topo, Shards, Classifier, From, To, O);
+    // Warmup: a shorter run of the same shape on a throwaway engine (an
+    // Engine runs one workload), then the measured run.
+    warmupRuns(O.Warmup, [&] {
+      engineRun(N, Topo, Shards, From, To, O, O.BulkPackets / 4 + 1);
+    });
+    engine::Stats S = engineRun(N, Topo, Shards, From, To, O, O.BulkPackets);
+    engine::LatencyDigest Lat = updateLatencyRun(N, Topo, Shards, O);
+    bool Ok = checkedRun(N, Topo, Shards, From, To, O);
 
-      const char *Path = Classifier ? "classifier" : "fdd-walk";
-      if (!Classifier)
-        WalkHops[Shards] = S.PacketsPerSec;
-      if (Shards == 1)
-        OneShardHops[Classifier] = S.PacketsPerSec;
-      double VsWalk = !Classifier || WalkHops[Shards] <= 0
-                          ? 1.0
-                          : S.PacketsPerSec / WalkHops[Shards];
-      double VsSim = Sim.DeliveredPerSec > 0
-                         ? S.DeliveredPerSec / Sim.DeliveredPerSec
-                         : 0;
-      // Parallel efficiency: 1.0 means N shards run N times as fast as
-      // one; beyond min(N, cores) it necessarily decays.
-      double Efficiency = OneShardHops[Classifier] > 0
-                              ? S.PacketsPerSec /
-                                    (OneShardHops[Classifier] * Shards)
-                              : 0;
-      uint64_t Hwm = 0, FreeGrow = 0;
-      for (const engine::ShardStats &SS : S.Shards) {
-        if (SS.QueueHighWater > Hwm)
-          Hwm = SS.QueueHighWater;
-        FreeGrow += SS.FreelistGrowth;
-      }
-      T.addRow({Name, std::to_string(Shards), Path,
-                engine::partitionStrategyName(S.Partition.Strategy),
-                std::to_string(S.PacketsDelivered),
-                formatDouble(S.ElapsedSec * 1e3, 1),
-                formatDouble(S.PacketsPerSec / 1e6, 3),
-                formatDouble(S.DeliveredPerSec / 1e6, 3),
-                formatDouble(VsWalk, 2), formatDouble(VsSim, 1),
-                formatDouble(Efficiency, 3),
-                std::to_string(S.Partition.CutWeight),
-                std::to_string(S.Partition.TotalWeight),
-                std::to_string(Hwm), std::to_string(FreeGrow),
-                formatDouble(Lat.P50Sec * 1e6, 1),
-                formatDouble(Lat.P99Sec * 1e6, 1),
-                Ok ? "ok" : "VIOLATION"});
+    if (Shards == 1)
+      OneShardHops = S.PacketsPerSec;
+    double VsSim = Sim.DeliveredPerSec > 0
+                       ? S.DeliveredPerSec / Sim.DeliveredPerSec
+                       : 0;
+    // Parallel efficiency: 1.0 means N shards run N times as fast as one;
+    // beyond min(N, cores) it necessarily decays.
+    double Efficiency =
+        OneShardHops > 0 ? S.PacketsPerSec / (OneShardHops * Shards) : 0;
+    uint64_t Hwm = 0, FreeGrow = 0;
+    for (const engine::ShardStats &SS : S.Shards) {
+      if (SS.QueueHighWater > Hwm)
+        Hwm = SS.QueueHighWater;
+      FreeGrow += SS.FreelistGrowth;
     }
+    T.addRow({Name, std::to_string(Shards), "classifier",
+              engine::partitionStrategyName(S.Partition.Strategy),
+              std::to_string(S.PacketsDelivered),
+              formatDouble(S.ElapsedSec * 1e3, 1),
+              formatDouble(S.PacketsPerSec / 1e6, 3),
+              formatDouble(S.DeliveredPerSec / 1e6, 3),
+              formatDouble(VsSim, 1), formatDouble(Efficiency, 3),
+              std::to_string(S.Partition.CutWeight),
+              std::to_string(S.Partition.TotalWeight), std::to_string(Hwm),
+              std::to_string(FreeGrow), formatDouble(Lat.P50Sec * 1e6, 1),
+              formatDouble(Lat.P99Sec * 1e6, 1), Ok ? "ok" : "VIOLATION"});
   }
 }
 
@@ -239,12 +203,11 @@ int main(int argc, char **argv) {
   }
 
   if (!O.JsonOnly)
-    banner("engine_throughput",
-           "classifier program vs FDD walk, per shard count");
+    banner("engine_throughput", "classifier program, per shard count");
 
   TextTable T({"topology", "shards", "path", "partition", "delivered",
                "elapsed_ms", "hops_per_sec_M", "delivered_per_sec_M",
-               "speedup_vs_walk", "speedup_vs_sim", "scaling_efficiency",
+               "speedup_vs_sim", "scaling_efficiency",
                "edge_cut", "edge_total", "queue_hwm", "freelist_growth",
                "update_lat_p50_us", "update_lat_p99_us", "definition6"});
 

@@ -1,18 +1,12 @@
 //===- bench/update_churn.cpp - Event-storm update-latency bench ---------===//
 //
-// Event-to-new-config latency under a high-churn packet storm, comparing
-// the two update pipelines side by side per shard count (1/4):
-//
-//   broadcast    the historical controller path (FastUpdates off,
-//                CtrlBroadcast on): detection rides the controller's
-//                spin->yield->sleep backoff, then a full-bitset
-//                CtrlMerge to every shard queues behind the storm;
-//   fast         the low-latency pipeline (FastUpdates on): the
-//                detecting shard pushes an event-id delta, routed by
-//                the subscription index, onto every other subscribed
-//                shard's priority lane, then fans the transition out to
-//                its own subscribed switches; the controller only
-//                records the event, off the critical path.
+// Event-to-new-config latency under a high-churn packet storm, per shard
+// count (1/4), through the engine's one update pipeline: the detecting
+// shard pushes an event-id delta, routed by the subscription index, onto
+// every other subscribed shard's priority lane, then fans the transition
+// out to its own subscribed switches. The `pipeline` column keeps the
+// constant value "fast" because it is part of the row key
+// scripts/run_benches.py --compare matches on.
 //
 // Each row aggregates many *fresh* engines (the ring program fires its
 // probe event once per engine), injecting the whole storm open-loop —
@@ -20,7 +14,7 @@
 // genuinely race a backlog of in-flight data traffic. The storm is
 // deliberately *one-way* (a single H1->H2 flood with the probe triggers
 // scattered through it): bidirectional traffic gossips the event digest
-// onto every switch within microseconds, hiding the pipelines behind
+// onto every switch within microseconds, hiding the pipeline behind
 // the storm's own propagation, whereas a one-way flood leaves the
 // ingress switch and the ring's far arc gossip-starved — exactly the
 // switches whose new config must come from the update pipeline. The raw
@@ -29,7 +23,7 @@
 // across the row rather than a percentile-of-percentiles.
 //
 // A final smaller run per row records a trace and replays it through the
-// Definition 6 oracle: the fast path publishes each switch's register
+// Definition 6 oracle: the pipeline publishes each switch's register
 // independently, and this check is the standing proof that independent
 // publication is still the Section 4 protocol.
 //
@@ -48,7 +42,6 @@
 
 #include <cstring>
 #include <iostream>
-#include <map>
 #include <string>
 #include <thread>
 
@@ -67,17 +60,13 @@ struct BenchOpts {
   engine::PartitionStrategy Partition = engine::PartitionStrategy::Refined;
 };
 
-engine::EngineConfig pipelineConfig(bool Fast, unsigned Shards,
-                                    const BenchOpts &O) {
+engine::EngineConfig pipelineConfig(unsigned Shards, const BenchOpts &O) {
   engine::EngineConfig Cfg;
   Cfg.NumShards = Shards;
   Cfg.Partition = O.Partition;
-  // The two pipelines under test. "fast" keeps CtrlBroadcast off — the
-  // subscription index routes deltas to exactly the switches whose
-  // config or detection behavior the event can change; "broadcast" is
-  // the legacy full-bitset CtrlMerge to every shard.
-  Cfg.FastUpdates = Fast;
-  Cfg.CtrlBroadcast = !Fast;
+  // CtrlBroadcast stays off: the subscription index routes deltas to
+  // exactly the switches whose config or detection behavior the event
+  // can change.
   Cfg.RecordTrace = false; // pure latency: no per-hop allocation
   Cfg.RecordDeliveries = false;
   Cfg.EchoReplies = false; // churn flows are one-way data packets
@@ -116,10 +105,10 @@ struct RowAccum {
 /// One open-loop storm on a fresh engine: inject everything in a single
 /// batch (no inter-phase quiescence — the transition races the backlog),
 /// drain, and account the latency samples.
-void stormRep(const nes::Nes &N, const topo::Topology &Topo, bool Fast,
+void stormRep(const nes::Nes &N, const topo::Topology &Topo,
               unsigned Shards, const BenchOpts &O, uint64_t Seed,
               unsigned Packets, RowAccum *Acc) {
-  engine::Engine E(N, Topo, pipelineConfig(Fast, Shards, O));
+  engine::Engine E(N, Topo, pipelineConfig(Shards, O));
   engine::TrafficGen G(Topo, Seed);
   engine::Workload W = oneWayStorm(G, Packets, O.Triggers, Seed);
   E.start();
@@ -139,9 +128,9 @@ void stormRep(const nes::Nes &N, const topo::Topology &Topo, bool Fast,
 }
 
 /// A smaller recorded storm replayed through the Definition 6 checker.
-bool checkedRep(const nes::Nes &N, const topo::Topology &Topo, bool Fast,
+bool checkedRep(const nes::Nes &N, const topo::Topology &Topo,
                 unsigned Shards, const BenchOpts &O) {
-  engine::EngineConfig Cfg = pipelineConfig(Fast, Shards, O);
+  engine::EngineConfig Cfg = pipelineConfig(Shards, O);
   Cfg.RecordTrace = true;
   engine::Engine E(N, Topo, Cfg);
   engine::TrafficGen G(Topo, O.Seed);
@@ -181,53 +170,36 @@ int main(int argc, char **argv) {
   }
 
   if (!O.JsonOnly)
-    banner("update_churn",
-           "event-storm update latency: fast pipeline vs broadcast");
+    banner("update_churn", "event-storm update latency, per shard count");
 
   TextTable T({"pipeline", "shards", "reps", "storm_packets", "learns",
                "fast_learns", "ctrl_deltas", "hops_per_sec_M",
                "update_storm_lat_p50_us", "update_storm_lat_p99_us",
-               "p99_speedup_vs_broadcast", "definition6"});
+               "definition6"});
 
   apps::App A = apps::ringApp(16, 8);
   nes::CompiledProgram C = compileApp(A);
   const nes::Nes &N = *C.N;
   const topo::Topology &Topo = A.Topo;
 
-  // p99 of the broadcast row per shard count, the speedup denominator.
-  std::map<unsigned, double> BroadcastP99;
-
   for (unsigned Shards : {1u, 4u}) {
-    for (bool Fast : {false, true}) {
-      warmupRuns(O.Warmup, [&] {
-        stormRep(N, Topo, Fast, Shards, O, O.Seed,
-                 O.StormPackets / 4 + 1, nullptr);
-      });
-      RowAccum Acc;
-      for (unsigned R = 0; R != O.Reps; ++R)
-        stormRep(N, Topo, Fast, Shards, O, O.Seed + R, O.StormPackets,
-                 &Acc);
-      bool Ok = checkedRep(N, Topo, Fast, Shards, O);
+    warmupRuns(O.Warmup, [&] {
+      stormRep(N, Topo, Shards, O, O.Seed, O.StormPackets / 4 + 1, nullptr);
+    });
+    RowAccum Acc;
+    for (unsigned R = 0; R != O.Reps; ++R)
+      stormRep(N, Topo, Shards, O, O.Seed + R, O.StormPackets, &Acc);
+    bool Ok = checkedRep(N, Topo, Shards, O);
 
-      obs::HistogramSnapshot H = Acc.LatNs.snapshot();
-      double P50Us = static_cast<double>(H.percentile(0.50)) * 1e-3;
-      double P99Us = static_cast<double>(H.percentile(0.99)) * 1e-3;
-      if (!Fast)
-        BroadcastP99[Shards] = P99Us;
-      double Speedup = Fast && P99Us > 0
-                           ? BroadcastP99[Shards] / P99Us
-                           : 1.0;
-      double HopsPerSec =
-          Acc.ElapsedSec > 0 ? Acc.Hops / Acc.ElapsedSec : 0;
-      T.addRow({Fast ? "fast" : "broadcast", std::to_string(Shards),
-                std::to_string(O.Reps), std::to_string(O.StormPackets),
-                std::to_string(H.TotalCount),
-                std::to_string(Acc.FastLearns),
-                std::to_string(Acc.CtrlDeltas),
-                formatDouble(HopsPerSec / 1e6, 3), formatDouble(P50Us, 1),
-                formatDouble(P99Us, 1), formatDouble(Speedup, 2),
-                Ok ? "ok" : "VIOLATION"});
-    }
+    obs::HistogramSnapshot H = Acc.LatNs.snapshot();
+    double P50Us = static_cast<double>(H.percentile(0.50)) * 1e-3;
+    double P99Us = static_cast<double>(H.percentile(0.99)) * 1e-3;
+    double HopsPerSec = Acc.ElapsedSec > 0 ? Acc.Hops / Acc.ElapsedSec : 0;
+    T.addRow({"fast", std::to_string(Shards), std::to_string(O.Reps),
+              std::to_string(O.StormPackets), std::to_string(H.TotalCount),
+              std::to_string(Acc.FastLearns), std::to_string(Acc.CtrlDeltas),
+              formatDouble(HopsPerSec / 1e6, 3), formatDouble(P50Us, 1),
+              formatDouble(P99Us, 1), Ok ? "ok" : "VIOLATION"});
   }
 
   if (!O.JsonOnly)

@@ -57,7 +57,7 @@ def main() -> None:
         fail(f"not valid JSON: {e}")
 
     required = [
-        "backend", "seed", "shards", "classifier", "batch", "partition",
+        "backend", "seed", "shards", "batch", "partition",
         "edge_cut", "edge_total", "injected", "delivered", "dropped",
         "switch_hops", "events_detected", "config_transitions",
         "elapsed_sec", "trace_entries", "shard_detail", "consistency",
@@ -100,7 +100,7 @@ def main() -> None:
                 fail(f"faults disabled but faults.{key} = {faults[key]}")
     else:
         # Every ledgered link fault is one record; the engine additionally
-        # ledgers controller storm events, so >= rather than ==.
+        # ledgers one record per event's storm burst, so >= rather than ==.
         floor = faults["drops"] + faults["dups"] + faults["delays"]
         if faults["ledger_entries"] < floor:
             fail(

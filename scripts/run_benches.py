@@ -50,8 +50,8 @@ import sys
 
 ENGINE_ROW_KEYS = [
     "topology", "shards", "path", "partition", "delivered", "elapsed_ms",
-    "hops_per_sec_M", "delivered_per_sec_M", "speedup_vs_walk",
-    "speedup_vs_sim", "scaling_efficiency", "edge_cut", "edge_total",
+    "hops_per_sec_M", "delivered_per_sec_M", "speedup_vs_sim",
+    "scaling_efficiency", "edge_cut", "edge_total",
     "queue_hwm", "freelist_growth", "update_lat_p50_us",
     "update_lat_p99_us", "definition6",
 ]
@@ -65,7 +65,7 @@ NET_ROW_KEYS = [
 CHURN_ROW_KEYS = [
     "pipeline", "shards", "reps", "storm_packets", "learns", "fast_learns",
     "ctrl_deltas", "hops_per_sec_M", "update_storm_lat_p50_us",
-    "update_storm_lat_p99_us", "p99_speedup_vs_broadcast", "definition6",
+    "update_storm_lat_p99_us", "definition6",
 ]
 
 SOAK_ROW_KEYS = [
@@ -122,9 +122,8 @@ def engine_throughput_once(bin_dir: str, smoke: bool,
                 fail(f"engine_throughput row missing key '{key}': {row}")
         if row["definition6"] != "ok":
             fail(f"engine_throughput row violates Definition 6: {row}")
-        if row["path"] == "classifier" and row["freelist_growth"] != 0:
-            fail("steady-state freelist growth on the classifier path "
-                 f"(expected 0): {row}")
+        if row["freelist_growth"] != 0:
+            fail(f"steady-state freelist growth (expected 0): {row}")
     return d
 
 
@@ -287,9 +286,9 @@ def soak(bin_dir: str, smoke: bool) -> dict:
         # The overhead gate. The collector + checker ride a dedicated
         # thread; on a machine with a spare hardware thread for it the
         # streaming check must cost <15% of hops/s. With fewer cores
-        # than engine shards + collector + controller the "overhead" is
-        # really core contention (a 1-thread container time-slices the
-        # checker against the engine), so it only warns.
+        # than engine shards + collector + the bench's driver thread the
+        # "overhead" is really core contention (a 1-thread container
+        # time-slices the checker against the engine), so it only warns.
         overhead = row["checker_overhead_pct"]
         if overhead > 15.0:
             where = (f"soak @ {row['shards']} shard(s): streaming checker "
@@ -439,7 +438,7 @@ def compare(baseline: dict, fresh: dict, threshold: float) -> int:
         # percentiles of a microsecond-scale quantity are far noisier
         # than throughput means — and on an oversubscribed machine
         # (shards > hw_threads) they measure when the scheduler ran the
-        # controller, not the update path. So: gate only rows the
+        # receiving worker, not the update path. So: gate only rows the
         # machine can genuinely parallelize, whose baseline has samples
         # (p50 > 0), at double the raw threshold, and never below 250us
         # of absolute movement (the gate exists to catch the update path

@@ -12,7 +12,7 @@ promises end to end:
     same seed must reproduce a byte-identical fault ledger, observed
     here through the report's ledger_sha digest;
   * cross-substrate agreement — for plans whose faults are all
-    content-addressed link faults (no controller storms, which only
+    content-addressed link faults (no update-delta storms, which only
     the engine ledgers), the engine and sim runs of the same plan must
     agree on the ledger digest.
 
@@ -71,7 +71,7 @@ def main() -> int:
     cells = 0
     for plan_path in plans:
         plan = json.load(open(plan_path))
-        # Controller storms are engine-only ledger records, so only
+        # Storm records are engine-only ledger records, so only
         # storm-free plans can promise engine == sim digests.
         cross_substrate = not plan.get("ctrl_storm_repeat", 0)
         # A queue clamp lets shed policies discard packets before they

@@ -53,7 +53,6 @@ public:
 
     engine::EngineConfig Cfg;
     Cfg.NumShards = O.Shards;
-    Cfg.UseClassifier = O.Classifier;
     Cfg.BatchSize = O.Batch;
     Cfg.Partition = *Strategy;
     Cfg.LatencyHistograms = O.LatencyHistograms;
@@ -104,7 +103,6 @@ public:
     engine::Stats S = E.stats();
     RunReport R;
     R.Shards = O.Shards;
-    R.Classifier = S.ClassifierPath;
     R.Batch = S.BatchSize;
     R.Partition = engine::partitionStrategyName(S.Partition.Strategy);
     R.EdgeCut = S.Partition.CutWeight;

@@ -412,7 +412,6 @@ void fillEngineSide(RunReport &R, engine::Engine &E, unsigned Shards,
                     engine::OverloadPolicy Overload, bool FaultsEnabled) {
   engine::Stats S = E.stats();
   R.Shards = Shards;
-  R.Classifier = S.ClassifierPath;
   R.Batch = S.BatchSize;
   R.Partition = engine::partitionStrategyName(S.Partition.Strategy);
   R.EdgeCut = S.Partition.CutWeight;
@@ -529,7 +528,6 @@ public:
 
     engine::EngineConfig Cfg;
     Cfg.NumShards = O.Shards;
-    Cfg.UseClassifier = O.Classifier;
     Cfg.BatchSize = O.Batch;
     Cfg.Partition = *Strategy;
     Cfg.LatencyHistograms = O.LatencyHistograms;
@@ -628,7 +626,6 @@ Result<RunReport> serveNet(const Compilation &C, const RunOptions &O,
 
   engine::EngineConfig Cfg;
   Cfg.NumShards = O.Shards;
-  Cfg.UseClassifier = O.Classifier;
   Cfg.BatchSize = O.Batch;
   Cfg.Partition = *Strategy;
   Cfg.LatencyHistograms = O.LatencyHistograms;

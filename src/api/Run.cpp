@@ -241,8 +241,7 @@ std::string RunReport::str() const {
   if (Shards > 1)
     OS << ", " << Shards << " shards";
   if (Backend == "engine") {
-    OS << ", " << (Classifier ? "classifier" : "fdd-walk") << " path, batch "
-       << Batch;
+    OS << ", batch " << Batch;
     if (!Partition.empty())
       OS << ", " << Partition << " partition (edge cut " << EdgeCut << "/"
          << EdgeTotal << ")";
@@ -366,7 +365,6 @@ std::string RunReport::json() const {
      << ", \"workload\": \""
      << jsonEscape(Workload.empty() ? "ping" : Workload) << "\""
      << ", \"seed\": " << Seed << ", \"shards\": " << Shards
-     << ", \"classifier\": " << (Classifier ? "true" : "false")
      << ", \"batch\": " << Batch
      << ", \"partition\": \"" << jsonEscape(Partition) << "\""
      << ", \"edge_cut\": " << EdgeCut

@@ -100,10 +100,6 @@ public:
     CheckDifferential = V;
     return *this;
   }
-  RunOptions &classifier(bool V) {
-    Classifier = V;
-    return *this;
-  }
   RunOptions &batch(unsigned V) {
     Batch = V;
     return *this;
@@ -183,9 +179,6 @@ public:
   /// checker, then report whether the two verdicts agree — the
   /// end-to-end differential harness for the streaming checker.
   bool CheckDifferential = false;
-  /// Engine backend: classifier-program fast path (true) or the
-  /// flattened-FDD-walk oracle (false).
-  bool Classifier = true;
   /// Engine backend: hot-loop dequeue/enqueue batch size.
   unsigned Batch = 32;
   /// Engine backend: shard-placement strategy — "modulo", "contiguous",
@@ -258,9 +251,10 @@ struct ShardReport {
 };
 
 /// Fault-injection summary: what the plan actually did to the run. Drops,
-/// dups, and delays are content-addressed and ledgered (same seed + same
-/// plan => byte-identical Ledger); sheds, stalls, and storms are
-/// timing-dependent and appear as counts only.
+/// dups, and delays are content-addressed and ledgered one record per
+/// packet, and each detected event's storm burst is one record (event id
+/// and repeat count), so same seed + same plan => byte-identical Ledger.
+/// Sheds and stalls are timing-dependent and appear as counts only.
 struct FaultReport {
   bool Enabled = false;
   uint64_t Drops = 0;        ///< packets dropped by the plan
@@ -268,7 +262,7 @@ struct FaultReport {
   uint64_t Delays = 0;       ///< packets delayed by the plan
   uint64_t Shed = 0;         ///< messages shed by the overload policy
   uint64_t Stalls = 0;       ///< worker stalls taken
-  uint64_t Storms = 0;       ///< controller storm re-broadcasts
+  uint64_t Storms = 0;       ///< storm delta re-sends (repeat x shards)
   uint64_t DupDelivered = 0; ///< deliveries descending from a duplicate
   uint64_t DupDropped = 0;   ///< drops descending from a duplicate
   uint64_t LedgerEntries = 0; ///< deterministic ledger record count
@@ -338,7 +332,6 @@ struct RunReport {
   uint64_t Seed = 0;
   std::string Workload; ///< workload model the run executed ("ping", ...)
   unsigned Shards = 1; ///< 1 on the sequential backends
-  bool Classifier = false; ///< engine: classifier fast path in use
   unsigned Batch = 1;      ///< engine: hot-loop batch size
   std::string Partition;   ///< engine: shard-placement strategy (else "")
   uint64_t EdgeCut = 0;    ///< engine: weighted inter-shard edge cut

@@ -14,6 +14,9 @@ using eventnet::netkat::Packet;
 
 namespace {
 
+/// Longest sleep (microseconds) of a worker's adaptive idle backoff.
+constexpr unsigned IdleSleepCapUs = 128;
+
 /// Histogram snapshot -> report digest. \p Scale converts the recorded
 /// unit into the digest's (1e-9 for nanosecond histograms, 1 for raw
 /// counts like batch occupancy).
@@ -56,8 +59,7 @@ engine::parseOverloadPolicy(const std::string &Name) {
 Engine::Engine(const nes::Nes &N, const topo::Topology &Topo,
                EngineConfig Cfg)
     : N(N), Topo(Topo), C(Cfg), Idx(Topo),
-      Part(partitionSwitches(Idx, std::max(1u, Cfg.NumShards), Cfg.Partition,
-                             Cfg.ImbalanceBound)),
+      Part(partitionSwitches(Idx, std::max(1u, Cfg.NumShards), Cfg.Partition)),
       Compiled(N, Idx), Epochs(8) {
   if (C.NumShards == 0)
     C.NumShards = 1;
@@ -107,7 +109,6 @@ Engine::Engine(const nes::Nes &N, const topo::Topology &Topo,
     }
     Shards.push_back(std::move(S));
   }
-  CtrlQ = std::make_unique<BoundedMpscQueue<uint32_t>>(4096);
 
   // Per-switch fault gate, resolved once: the hot loop's hook is one
   // vector<bool> test instead of a rule scan.
@@ -121,8 +122,7 @@ Engine::Engine(const nes::Nes &N, const topo::Topology &Topo,
     DetectNs.push_back(std::make_unique<std::atomic<int64_t>>(-1));
   LearnNs.assign(static_cast<size_t>(Idx.numSwitches()) * N.numEvents(), -1);
 
-  if (C.FastUpdates)
-    buildSubscriptions();
+  buildSubscriptions();
 
   // A sane clock base for stats() calls that precede run().
   StartNs.store(monotonicNs());
@@ -297,28 +297,18 @@ void Engine::applyRegister(Shard &S, uint32_t Dense, const DenseBitSet &NewE) {
             static_cast<uint32_t>(Old->Version + 1));
 }
 
-void Engine::sendToShard(uint32_t Target, Msg &&M) {
-  // Never block: a cycle of full bounded queues with blocking producers
-  // (who are also the consumers) would deadlock. The ring is the
-  // lock-free common case; what happens beyond it is the overload
-  // policy's call (overflowMsg).
+void Engine::pushDelta(uint32_t Target, unsigned E, const DenseBitSet &Ctx) {
+  // A delta that queued behind a storm's worth of data packets would
+  // defeat the update pipeline, so it never enters the ring at all — the
+  // owner drains this lane ahead of every batch. It is counted into
+  // Pending before it becomes visible, like every ring message.
   Pending.fetch_add(1);
-  if (C.LatencyHistograms)
-    M.EnqNs = monotonicNs();
+  Delta Dl{static_cast<uint32_t>(E), Ctx};
   Shard &Sh = *Shards[Target];
-  if (M.K == Msg::CtrlDelta) {
-    // Priority lane: a delta that queued behind a storm's worth of data
-    // packets would defeat the fast pipeline, so it never enters the
-    // ring at all — the owner drains this lane ahead of every batch.
-    std::lock_guard<std::mutex> Lock(Sh.CtrlMu);
-    Sh.CtrlLane.push_back(std::move(M));
-    Sh.CtrlLaneSize.store(static_cast<uint32_t>(Sh.CtrlLane.size()),
-                          std::memory_order_release);
-    return;
-  }
-  if (Sh.Q->tryPush(std::move(M)))
-    return;
-  overflowMsg(Sh, std::move(M));
+  std::lock_guard<std::mutex> Lock(Sh.CtrlMu);
+  Sh.CtrlLane.push_back(std::move(Dl));
+  Sh.CtrlLaneSize.store(static_cast<uint32_t>(Sh.CtrlLane.size()),
+                        std::memory_order_release);
 }
 
 void Engine::shedLocked(Shard &Dst, Msg &M) {
@@ -342,7 +332,7 @@ void Engine::shedLocked(Shard &Dst, Msg &M) {
       if (C.StreamTrace)
         Dst.ShedStream.push_back(M.P.Parent);
     }
-  } else if (M.K == Msg::Inject) {
+  } else {
     Injected.add();
   }
   obsRecord(Dst, obs::TraceKind::Shed, Dst.Index,
@@ -351,24 +341,17 @@ void Engine::shedLocked(Shard &Dst, Msg &M) {
 
 void Engine::overflowMsg(Shard &Dst, Msg &&M) {
   std::lock_guard<std::mutex> Lock(Dst.OverflowMu);
-  if (C.Overload != OverloadPolicy::Block && !isCtrlMsg(M) &&
+  if (C.Overload != OverloadPolicy::Block &&
       Dst.Overflow.size() >= Dst.Q->capacity()) {
-    // Backlog bound reached: shed a data-plane message. Control
-    // messages are never shed (dropping a CTRLSEND would wedge event
-    // propagation, not degrade it).
+    // Backlog bound reached: shed the incoming message or the oldest
+    // buffered one. Update deltas ride the priority lane, never the
+    // ring, so nothing here can wedge event propagation.
     if (C.Overload == OverloadPolicy::ShedNewest) {
       shedLocked(Dst, M);
       return;
     }
-    for (auto It = Dst.Overflow.begin(); It != Dst.Overflow.end(); ++It) {
-      if (isCtrlMsg(*It))
-        continue;
-      shedLocked(Dst, *It);
-      Dst.Overflow.erase(It);
-      break;
-    }
-    // If the whole backlog was control traffic (rare), admit anyway:
-    // the bound is a degradation target, not a correctness invariant.
+    shedLocked(Dst, Dst.Overflow.front());
+    Dst.Overflow.pop_front();
   }
   Dst.Overflow.push_back(std::move(M));
   // A spill means the ring is full: the true backlog is ring + overflow.
@@ -561,31 +544,27 @@ void Engine::processPacket(Shard &S, EnginePacket &P) {
     Ext.set(E);
     if (N.enables(Known, E) && N.con(Ext)) {
       Fresh.set(E);
-      // First (and only) detection: the event's location is this switch.
+      // CTRLRECV: the first detection of E (the only one, as the event's
+      // location is this switch) counts it.
       int64_t Expected = -1;
-      DetectNs[E]->compare_exchange_strong(Expected, monotonicNs());
+      bool First =
+          DetectNs[E]->compare_exchange_strong(Expected, monotonicNs());
       obsRecord(S, obs::TraceKind::EventDetect, E,
                 static_cast<uint32_t>(Sl.Id));
-      if (C.FastUpdates) {
-        // The fast path never waits on the controller. Deltas go out
-        // first, so the other shards' workers merge in parallel with
-        // the local fan-out; then every subscribed switch this shard
-        // owns transitions, one function call after detection. Ext
-        // (this detection's consistent extension: register + digest +
-        // fresh events + E, all occurred) rides along as the causal
-        // context for switches whose registers lack E's causes.
-        sendDeltas(S, E, S.ScratchExt);
-        fanOutLocal(S, E, D, S.ScratchExt);
+      // CTRLSEND without a controller. Deltas go out first, so the other
+      // shards' workers merge in parallel with the local fan-out; then
+      // every subscribed switch this shard owns transitions, one function
+      // call after detection. Ext (this detection's consistent
+      // extension: register + digest + fresh events + E, all occurred)
+      // rides along as the causal context for switches whose registers
+      // lack E's causes.
+      sendDeltas(S, E, Ext);
+      fanOutLocal(S, E, D, Ext);
+      if (First) {
+        Events.add();
+        if (C.Faults && C.Faults->plan().CtrlStormRepeat)
+          sendStorm(S, E, Ext);
       }
-      // CTRLRECV still hears every event. CtrlQ is sized far beyond the
-      // event count (each event is detected once) and the controller
-      // always drains, so a plain yield on the full path cannot
-      // deadlock. The wake comes last: notifying earlier can hand an
-      // oversubscribed core to the controller ahead of the fan-out.
-      Pending.fetch_add(1);
-      CtrlQ->pushBlocking(static_cast<uint32_t>(E));
-      if (C.FastUpdates)
-        CtrlWake.notify();
     }
   }
 
@@ -613,43 +592,22 @@ void Engine::processPacket(Shard &S, EnginePacket &P) {
   const DenseBitSet &OutDigest = *OutDigestP;
 
   S.Processed.add();
-  if (C.UseClassifier) {
-    // Fast path: one contiguous classifier program, outputs emitted into
-    // the shard's recycled packet buffer — allocation-free once warm.
-    S.ClsOut.reset();
-    Pipe.applyClassifier(P.Pkt, S.ClsOut);
-    if (S.ClsOut.size() == 0) {
-      Dropped.add();
-      S.Dropped.add();
-      if (P.FromDup)
-        DupDropped.add();
-      obsRecord(S, obs::TraceKind::Drop, static_cast<uint32_t>(Sl.Id),
-                /*reason: table miss / drop rule*/ 0);
-      return;
-    }
-    for (size_t I = 0; I != S.ClsOut.size(); ++I)
-      forwardOut(S, P, D, S.ClsOut[I], OutDigest);
-    return;
-  }
-
-  // Oracle path: the flattened-FDD walk (kept for differential testing;
-  // allocates its output packets).
-  std::vector<Packet> Outs = std::move(S.Outs);
-  Outs.clear();
-  Pipe.apply(P.Pkt, Outs);
-  if (Outs.empty()) {
+  // One contiguous classifier program, outputs emitted into the shard's
+  // recycled packet buffer — allocation-free once warm. (The flattened-FDD
+  // walk, MatchPipeline::apply, is the oracle the tests check it against.)
+  S.ClsOut.reset();
+  Pipe.applyClassifier(P.Pkt, S.ClsOut);
+  if (S.ClsOut.size() == 0) {
     Dropped.add();
     S.Dropped.add();
     if (P.FromDup)
       DupDropped.add();
     obsRecord(S, obs::TraceKind::Drop, static_cast<uint32_t>(Sl.Id),
               /*reason: table miss / drop rule*/ 0);
-    S.Outs = std::move(Outs);
     return;
   }
-  for (Packet &Out : Outs)
-    forwardOut(S, P, D, Out, OutDigest);
-  S.Outs = std::move(Outs); // return the capacity for reuse
+  for (size_t I = 0; I != S.ClsOut.size(); ++I)
+    forwardOut(S, P, D, S.ClsOut[I], OutDigest);
 }
 
 void Engine::mergeEventInto(Shard &S, uint32_t Dense, unsigned E,
@@ -676,13 +634,28 @@ void Engine::sendDeltas(Shard &S, unsigned E, const DenseBitSet &Ctx) {
   for (uint32_t T : SubShards[E]) {
     if (T == S.Index)
       continue; // fanOutLocal covers the detecting shard
-    Msg M;
-    M.K = Msg::CtrlDelta;
-    M.Event = E;
-    M.Merge = Ctx;
-    sendToShard(T, std::move(M));
+    pushDelta(T, E, Ctx);
     CtrlDeltas.add();
   }
+}
+
+void Engine::sendStorm(Shard &S, unsigned E, const DenseBitSet &Ctx) {
+  // Fault-plan event storm: every shard's lane takes the same delta
+  // CtrlStormRepeat more times. Semantically idempotent (registers only
+  // grow, and a delta merges only what its first copy already did), so
+  // the storm stresses the lanes and the drains without changing the
+  // reachable configurations. The burst is one ledger record.
+  uint32_t Reps = C.Faults->plan().CtrlStormRepeat;
+  for (uint32_t R = 0; R != Reps; ++R)
+    for (uint32_t T = 0; T != C.NumShards; ++T)
+      pushDelta(T, E, Ctx);
+  FaultStorms.add(static_cast<uint64_t>(Reps) * C.NumShards);
+  faults::FaultRecord SR;
+  SR.K = faults::FaultKind::Storm;
+  SR.Sw = static_cast<int64_t>(E);
+  SR.Pt = static_cast<int64_t>(Reps);
+  S.FaultRecs.push_back(SR);
+  obsRecord(S, obs::TraceKind::CtrlStorm, E, Reps);
 }
 
 void Engine::fanOutLocal(Shard &S, unsigned E, uint32_t DetectDense,
@@ -725,36 +698,10 @@ void Engine::handleInject(Shard &S, HostId From, Packet Header) {
 //===----------------------------------------------------------------------===//
 
 void Engine::processMsg(Shard &S, Msg &M) {
-  switch (M.K) {
-  case Msg::PacketIn:
+  if (M.K == Msg::PacketIn)
     processPacket(S, M.P);
-    break;
-  case Msg::Inject:
+  else
     handleInject(S, M.From, std::move(M.Header));
-    break;
-  case Msg::CtrlMerge:
-    // CTRLSEND: merge the controller's set into every owned register.
-    for (uint32_t D = 0; D != Idx.numSwitches(); ++D) {
-      SwitchSlot &Sl = Slots[D];
-      if (&S != Shards[Sl.Shard].get())
-        continue;
-      DenseBitSet NewE = Sl.E | M.Merge;
-      if (NewE != Sl.E)
-        applyRegister(S, D, NewE);
-    }
-    break;
-  case Msg::CtrlDelta:
-    // A detecting shard's delta: one event id, merged into this shard's
-    // subscribed switches as a single-event union in the common case;
-    // M.Merge (the detection's consistent extension) is the causal
-    // fallback for registers that lack the event's enabling chain.
-    // Unsubscribed switches would not change their table or detection
-    // behavior (under explicit broadcast every switch subscribes).
-    for (uint32_t D :
-         SubSwitches[static_cast<size_t>(M.Event) * C.NumShards + S.Index])
-      mergeEventInto(S, D, M.Event, M.Merge);
-    break;
-  }
   // Pending accounting happens per batch (drainBatch), not per message.
 }
 
@@ -881,15 +828,23 @@ void Engine::releaseDelayed(Shard &S) {
 
 size_t Engine::drainCtrlLane(Shard &S) {
   // Move the lane out under the lock, merge outside it (the merges do
-  // RCU publication work; the controller must never wait on that).
-  std::deque<Msg> Lane;
+  // RCU publication work; a detecting worker must never wait on that).
+  std::deque<Delta> Lane;
   {
     std::lock_guard<std::mutex> Lock(S.CtrlMu);
     Lane.swap(S.CtrlLane);
     S.CtrlLaneSize.store(0, std::memory_order_relaxed);
   }
-  for (Msg &M : Lane) {
-    processMsg(S, M);
+  // Each delta merges into this shard's subscribed switches as a
+  // single-event union in the common case; Ctx (the detection's
+  // consistent extension) is the causal fallback for registers that lack
+  // the event's enabling chain. Unsubscribed switches would not change
+  // their table or detection behavior (under explicit broadcast every
+  // switch subscribes).
+  for (const Delta &Dl : Lane) {
+    for (uint32_t D :
+         SubSwitches[static_cast<size_t>(Dl.Event) * C.NumShards + S.Index])
+      mergeEventInto(S, D, Dl.Event, Dl.Ctx);
     Pending.fetch_sub(1);
   }
   return Lane.size();
@@ -1021,95 +976,25 @@ void Engine::workerLoop(unsigned ShardIdx) {
       break;
     // Adaptive idle backoff: spin (cheap, catches back-to-back bursts),
     // then yield (lets co-scheduled shards run), then sleep in doubling
-    // steps up to the configured cap — an underloaded shard under a good
+    // steps up to IdleSleepCapUs — an underloaded shard under a good
     // partition spends its life here instead of hammering the queue's
     // cache lines. Any drained work resets to the spin stage.
     ++Spins;
     if (Spins <= 64)
       continue;
-    if (Spins <= 256 || C.IdleSleepUs == 0) {
+    if (Spins <= 256) {
       std::this_thread::yield();
       continue;
     }
     std::this_thread::sleep_for(std::chrono::microseconds(SleepUs));
     S.IdleSleeps.add();
-    SleepUs = std::min(SleepUs * 2, C.IdleSleepUs);
+    SleepUs = std::min(SleepUs * 2, IdleSleepCapUs);
   }
   if (C.StreamTrace) {
     // This shard will never log again: flush the tail and lift the
     // shard's watermark out of every future min.
     FlushStream();
     S.StreamWatermark.store(UINT64_MAX, std::memory_order_release);
-  }
-}
-
-void Engine::controllerLoop() {
-  uint64_t Spins = 0;
-  unsigned SleepUs = 1;
-  while (true) {
-    uint32_t E;
-    if (CtrlQ->tryPop(E)) {
-      Spins = 0;
-      SleepUs = 1;
-      // CTRLRECV: fold the event into R once. Under FastUpdates the
-      // detecting worker already sent the deltas (sendDeltas); the
-      // legacy path broadcasts the full set here.
-      if (!Occurred.test(E)) {
-        Occurred.set(E);
-        Events.add();
-        auto Broadcast = [&] {
-          for (uint32_t I = 0; I != C.NumShards; ++I) {
-            Msg M;
-            M.K = Msg::CtrlMerge;
-            M.Merge = Occurred;
-            sendToShard(I, std::move(M));
-          }
-        };
-        if (!C.FastUpdates && C.CtrlBroadcast)
-          Broadcast();
-        if (C.Faults && C.Faults->plan().CtrlStormRepeat) {
-          // Controller event storm: re-broadcast the merged set to every
-          // shard CtrlStormRepeat extra times. Semantically idempotent
-          // (registers only grow), so the storm stresses the queues and
-          // the overload policy without changing the reachable configs.
-          uint32_t Reps = C.Faults->plan().CtrlStormRepeat;
-          for (uint32_t R = 0; R != Reps; ++R)
-            Broadcast();
-          FaultStorms.add(static_cast<uint64_t>(Reps) * C.NumShards);
-          faults::FaultRecord SR;
-          SR.K = faults::FaultKind::Storm;
-          SR.Sw = static_cast<int64_t>(E);
-          SR.Pt = static_cast<int64_t>(Reps);
-          StormRecs.push_back(SR);
-          obsRecord(*Shards[0], obs::TraceKind::CtrlStorm, E, Reps);
-        }
-      }
-      Pending.fetch_sub(1);
-      continue;
-    }
-    if (StopFlag.load())
-      break;
-    if (C.FastUpdates) {
-      // Event-driven wake: block until a worker notifies (it does so
-      // right after every CtrlQ push), then re-drain. No backoff floor
-      // under propagation latency; the timeout is only a shutdown
-      // safety net (finish() also notifies after raising StopFlag).
-      CtrlWake.wait(/*TimeoutUs=*/50000);
-      continue;
-    }
-    // Legacy idle backoff, same as the workers: events are rare, so the
-    // controller is the most persistently idle thread of all. The sleep
-    // cap is also a floor on event propagation latency — the reason the
-    // FastUpdates path above exists.
-    ++Spins;
-    if (Spins <= 64)
-      continue;
-    if (Spins <= 256 || C.IdleSleepUs == 0) {
-      std::this_thread::yield();
-      continue;
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(SleepUs));
-    SleepUs = std::min(SleepUs * 2, C.IdleSleepUs);
   }
 }
 
@@ -1124,7 +1009,6 @@ void Engine::start() {
   StopFlag.store(false);
   InjBufs.resize(C.NumShards);
 
-  CtrlThread = std::thread([this] { controllerLoop(); });
   for (unsigned I = 0; I != C.NumShards; ++I)
     Shards[I]->Thread = std::thread([this, I] { workerLoop(I); });
   Started = true;
@@ -1156,9 +1040,9 @@ void Engine::injectBatch(const Injection *Inj, size_t N) {
 }
 
 void Engine::awaitQuiescence() {
-  // Every message (packets, replies, controller work) drains. Outputs
-  // are always counted into Pending before their inputs retire, so zero
-  // really means quiet.
+  // Every message (packets, replies, update deltas) drains. Outputs and
+  // deltas are always counted into Pending before their inputs retire,
+  // so zero really means quiet.
   while (Pending.load() != 0)
     std::this_thread::yield();
 }
@@ -1168,10 +1052,8 @@ void Engine::finish() {
     return;
   ElapsedSec = nowSec();
   StopFlag.store(true);
-  CtrlWake.notify(); // rouse a controller blocked in its event wait
   for (auto &S : Shards)
     S->Thread.join();
-  CtrlThread.join();
 
   for (auto &S : Shards)
     S->Retired.tryReclaim(Epochs.minActiveEpoch());
@@ -1253,8 +1135,6 @@ void Engine::mergeResults() {
     for (int64_t T : S->ShedTickets)
       Ledger.ExcusedEntries.push_back(IndexOf.at(static_cast<uint64_t>(T)));
   }
-  Ledger.Records.insert(Ledger.Records.end(), StormRecs.begin(),
-                        StormRecs.end());
   auto Uniq = [](std::vector<int> &V) {
     std::sort(V.begin(), V.end());
     V.erase(std::unique(V.begin(), V.end()), V.end());
@@ -1284,7 +1164,6 @@ void Engine::mergeResults() {
   FinalStats.PacketsForwarded = Forwarded.get();
   FinalStats.EventsDetected = Events.get();
   FinalStats.CtrlDeltas = CtrlDeltas.get();
-  FinalStats.ClassifierPath = C.UseClassifier;
   FinalStats.BatchSize = C.BatchSize;
   fillPartitionStats(FinalStats);
   fillObsStats(FinalStats);
@@ -1338,7 +1217,6 @@ Stats Engine::stats() const {
   S.PacketsForwarded = Forwarded.get();
   S.EventsDetected = Events.get();
   S.CtrlDeltas = CtrlDeltas.get();
-  S.ClassifierPath = C.UseClassifier;
   S.BatchSize = C.BatchSize;
   fillPartitionStats(S);
   fillObsStats(S);

@@ -8,12 +8,19 @@
 /// \file
 /// The concurrent execution substrate for compiled NESes: N worker
 /// threads each own a shard of the topology's switches and exchange
-/// packets over lock-free MPSC queues; a controller thread plays the
-/// Figure 7 CTRLRECV role, and CTRLSEND on the legacy update path (on
-/// the fast path the detecting worker sends the deltas itself; see
-/// EngineConfig::FastUpdates). Per-switch event registers are
-/// single-writer (the owning shard), so the Section 4 tag/digest
-/// protocol runs without locks:
+/// packets over lock-free MPSC queues. There is no controller thread:
+/// the worker that detects an event plays the Figure 7 CTRLRECV and
+/// CTRLSEND roles itself. It (a) pushes a single-event delta onto the
+/// priority lane of every *other* shard that subscribes to the event
+/// (the lane bypasses the data ring, so a delta never queues behind a
+/// storm backlog, and the receiving worker polls it between
+/// self-delivery rounds), then (b) applies the transition to its own
+/// subscribed switches. Merging a delta into a register is a union with
+/// occurred events (a single-event union that would leave the NES
+/// family — the register lacks one of the event's causes — falls back
+/// to merging the detection's consistent extension), so Definition 6 is
+/// unaffected. Per-switch event registers are single-writer (the owning
+/// shard), so the Section 4 tag/digest protocol runs without locks:
 ///
 ///  - IN: an injected packet is stamped with the ingress switch's
 ///    current event-set tag by the owner, exactly the Figure 7 IN rule.
@@ -46,7 +53,6 @@
 #include "engine/Rcu.h"
 #include "engine/Stats.h"
 #include "engine/TrafficGen.h"
-#include "engine/Wake.h"
 #include "faults/Injector.h"
 #include "nes/Nes.h"
 #include "obs/Histogram.h"
@@ -77,12 +83,12 @@ enum class OverloadPolicy : uint8_t {
   /// blocking producers-who-are-consumers would deadlock).
   Block,
   /// Bound the backlog at ring capacity; beyond it, shed the *oldest*
-  /// buffered data-plane message to admit the new one. Control messages
-  /// are never shed; every shed is accounted (per-shard counter, drop
-  /// tally, excused trace ticket) so the audit stays exact.
+  /// buffered message to admit the new one. Update deltas ride their own
+  /// lane and are never shed; every shed is accounted (per-shard counter,
+  /// drop tally, excused trace ticket) so the audit stays exact.
   ShedOldest,
   /// Bound the backlog at ring capacity; beyond it, refuse the incoming
-  /// data-plane message. Same accounting as ShedOldest.
+  /// message. Same accounting as ShedOldest.
   ShedNewest,
 };
 
@@ -101,42 +107,14 @@ struct EngineConfig {
   /// on their owning worker; "modulo" is the historical round-robin
   /// placement, kept as the comparison baseline.
   PartitionStrategy Partition = PartitionStrategy::Refined;
-  /// Multiplicative load-balance bound the refinement pass must respect
-  /// (max shard vertex-weight / ideal; see Partition.h for the exact
-  /// ceiling).
-  double ImbalanceBound = 1.25;
-  /// Longest sleep (microseconds) of the adaptive idle backoff: a worker
-  /// that drains nothing spins briefly, then yields, then sleeps in
-  /// doubling steps up to this cap, so underloaded shards stop burning
-  /// the memory bus polling their queue. 0 disables sleeping (spin/yield
-  /// only, the historical behavior).
-  unsigned IdleSleepUs = 128;
   /// Per-shard queue capacity (rounded up to a power of two).
   size_t QueueCapacity = 1 << 15;
   /// Every switch learns every event (CTRLSEND to all), accelerating
-  /// discovery beyond digest gossip: under FastUpdates every switch
-  /// subscribes to every event's deltas, otherwise the controller
-  /// re-broadcasts its event set. Off by default, like the simulator.
+  /// discovery beyond digest gossip: every switch subscribes to every
+  /// event's deltas. Off by default, like the simulator; a switch then
+  /// subscribes only to the events that change its table or can gate a
+  /// detection at it (buildSubscriptions).
   bool CtrlBroadcast = false;
-  /// The low-latency update pipeline. The shard that detects an event
-  /// (a) pushes a single-event delta onto the priority lane of every
-  /// *other* shard the load-time event->shard subscription index names
-  /// (the lane bypasses the data ring, so a delta never queues behind a
-  /// storm backlog, and the receiving worker polls it between
-  /// self-delivery rounds), then (b) applies the transition to its own
-  /// subscribed switches (the per-switch RCU view swap publishes each
-  /// register independently). No delta waits on the controller, which
-  /// (c) still folds the event into its occurred set (CTRLRECV) and
-  /// sleeps on an eventfd/self-pipe wake instead of the
-  /// spin->yield->sleep backoff. Off = the historical controller path,
-  /// kept so benches can measure both pipelines in one binary. Either
-  /// way, merging a detected event into a register is the same
-  /// union-with-occurred-events step CtrlBroadcast has always taken
-  /// (single-event unions that would leave the NES family — the target
-  /// register missing one of the event's causes — fall back to merging
-  /// the detection's consistent extension), so Definition 6 is
-  /// unaffected.
-  bool FastUpdates = true;
   /// Hosts answer echo requests in-engine (KindRequest -> KindReply).
   bool EchoReplies = true;
   /// Record the network trace for the consistency checkers. Turn off
@@ -163,13 +141,8 @@ struct EngineConfig {
   /// RecordTrace) for pure-throughput benchmarking: recording
   /// necessarily allocates per packet.
   bool RecordDeliveries = true;
-  /// Look packets up with the contiguous classifier program (the batched
-  /// zero-allocation fast path). Off = the flattened-FDD walk, kept as
-  /// the differential-testing oracle.
-  bool UseClassifier = true;
   /// Messages dequeued/enqueued per hot-loop iteration (amortizes the
-  /// MPSC queue atomics; 1 degenerates to the PR 1 message-at-a-time
-  /// loop).
+  /// MPSC queue atomics; 1 degenerates to a message-at-a-time loop).
   unsigned BatchSize = 32;
   /// Record per-hop queue-dwell and batch-occupancy histograms (obs/).
   /// Off by default: when off, the hot loop takes no timestamps and the
@@ -225,14 +198,14 @@ public:
   // threads and merges results exactly as run() does. start/injectBatch/
   // awaitQuiescence/finish must all be called from the same thread.
 
-  /// Spins up the worker and controller threads. Call once.
+  /// Spins up the NumShards worker threads. Call once.
   void start();
   /// Hands \p N injections to their ingress shards. Caller must have
   /// called start(). Never blocks indefinitely (full rings spill to the
   /// overflow deque under the overload policy).
   void injectBatch(const Injection *Inj, size_t N);
   /// Blocks until every in-flight message (packets, echo replies,
-  /// controller work) has drained.
+  /// update deltas) has drained.
   void awaitQuiescence();
   /// Nonblocking quiescence probe. Monotone for the single external
   /// driver: once true, only the driver's own injectBatch() can make it
@@ -379,22 +352,21 @@ private:
     bool FromDup = false;
   };
 
+  /// A data-ring message: a hop in flight or a host injection.
   struct Msg {
-    enum Kind : uint8_t { PacketIn, Inject, CtrlMerge, CtrlDelta } K =
-        PacketIn;
+    enum Kind : uint8_t { PacketIn, Inject } K = PacketIn;
     EnginePacket P;        // PacketIn
     HostId From = 0;       // Inject
     netkat::Packet Header; // Inject
-    DenseBitSet Merge;     // CtrlMerge; CtrlDelta causal-fallback context
-    uint32_t Event = 0;    // CtrlDelta: one event id
     int64_t EnqNs = 0; ///< ring-enqueue stamp (only when LatencyHistograms)
   };
 
-  /// Control messages must never be shed (dropping a CTRLSEND would
-  /// wedge event propagation, not degrade it).
-  static bool isCtrlMsg(const Msg &M) {
-    return M.K == Msg::CtrlMerge || M.K == Msg::CtrlDelta;
-  }
+  /// An update delta on a shard's priority lane: one detected event and
+  /// the detection's consistent extension as its causal fallback.
+  struct Delta {
+    uint32_t Event = 0;
+    DenseBitSet Ctx;
+  };
 
   struct TraceRec {
     uint64_t Ticket = 0;
@@ -425,32 +397,32 @@ private:
     /// the owner drains the ring first, then the overflow.
     std::mutex OverflowMu;
     std::deque<Msg> Overflow;
-    /// Priority control lane (FastUpdates): CtrlDelta messages bypass
-    /// the data ring entirely, so an update is never stuck behind a
-    /// storm backlog of data packets — the owner drains this lane ahead
-    /// of every ring batch and between self-delivery rounds. Many
-    /// producers (whichever worker detected the event), single consumer
-    /// (the owner), serialized by CtrlMu; Size is the owner's cheap
-    /// emptiness probe, so the common empty case costs one load, no
-    /// lock.
+    /// Priority update lane: deltas bypass the data ring entirely, so an
+    /// update is never stuck behind a storm backlog of data packets —
+    /// the owner drains this lane ahead of every ring batch and between
+    /// self-delivery rounds. Many producers (whichever worker detected
+    /// the event, including this one for fault-plan storms), single
+    /// consumer (the owner), serialized by CtrlMu; Size is the owner's
+    /// cheap emptiness probe, so the common empty case costs one load,
+    /// no lock. Shedding never touches the lane (dropping a delta would
+    /// wedge event propagation, not degrade it).
     std::mutex CtrlMu;
-    std::deque<Msg> CtrlLane;
+    std::deque<Delta> CtrlLane;
     std::atomic<uint32_t> CtrlLaneSize{0};
     std::vector<TraceRec> Trace;
     std::vector<std::pair<HostId, netkat::Packet>> Delivered;
     RetireList<SwitchView> Retired;
     std::thread Thread;
-    std::vector<netkat::Packet> Outs; ///< scratch (FDD-walk oracle path)
-    PacketBuf ClsOut;                 ///< recycled classifier outputs
-    std::vector<Msg> Batch;           ///< recycled dequeue batch slots
-    std::vector<MsgBuf> OutBufs;      ///< recycled egress, per target
+    PacketBuf ClsOut;            ///< recycled classifier outputs
+    std::vector<Msg> Batch;      ///< recycled dequeue batch slots
+    std::vector<MsgBuf> OutBufs; ///< recycled egress, per target
     MsgBuf SelfProc; ///< swap space for draining OutBufs[Index] in place
     /// Scratch bitsets for the SWITCH rule (capacity-reusing; the hot
     /// loop builds no fresh DenseBitSets).
     DenseBitSet ScratchKnown, ScratchFresh, ScratchExt, ScratchNew,
         ScratchDigest;
-    /// Scratch register for the fast-update paths (shard-local fan-out
-    /// and CtrlDelta merges); separate from the SWITCH-rule scratch so a
+    /// Scratch register for the update paths (shard-local fan-out and
+    /// delta merges); separate from the SWITCH-rule scratch so a
     /// mid-detection fan-out cannot clobber the Known/Fresh sets.
     DenseBitSet ScratchFan;
     RelaxedCounter Processed;
@@ -474,7 +446,9 @@ private:
     uint64_t NonEmptyBatches = 0;          ///< stall cadence counter
     uint64_t StallEvery = 0;               ///< resolved stall rule; 0 = none
     uint32_t StallUs = 0;
-    std::vector<faults::FaultRecord> FaultRecs; ///< ledgered link faults
+    /// Ledgered faults: link drops/dups/delays, plus one Storm record
+    /// per event this shard detected under a storm plan.
+    std::vector<faults::FaultRecord> FaultRecs;
     std::vector<int64_t> ExcusedTickets; ///< parents of fault-dropped hops
     std::vector<int64_t> DupTickets;     ///< duplicate egress tickets
     std::vector<int64_t> ShedTickets;    ///< parents of shed msgs (OverflowMu)
@@ -507,15 +481,21 @@ private:
   }
 
   void workerLoop(unsigned ShardIdx);
-  void controllerLoop();
-  /// Builds the event->switch subscription index (FastUpdates): which
-  /// dense switches care about each event, grouped by owning shard, plus
-  /// the per-event list of shards with at least one subscriber.
+  /// Builds the event->switch subscription index: which dense switches
+  /// care about each event, grouped by owning shard, plus the per-event
+  /// list of shards with at least one subscriber.
   void buildSubscriptions();
-  /// Pushes a CtrlDelta for \p E, carrying \p Ctx as its causal
-  /// fallback, onto the priority lane of every subscribed shard other
-  /// than the detecting shard \p S.
+  /// Pushes a delta for \p E, carrying \p Ctx as its causal fallback,
+  /// onto the priority lane of every subscribed shard other than the
+  /// detecting shard \p S.
   void sendDeltas(Shard &S, unsigned E, const DenseBitSet &Ctx);
+  /// Fault-plan storm: re-sends \p E's delta to every shard's lane
+  /// CtrlStormRepeat times (idempotent: registers only grow) and ledgers
+  /// one Storm record in \p S's FaultRecs.
+  void sendStorm(Shard &S, unsigned E, const DenseBitSet &Ctx);
+  /// Counts one delta into Pending and appends it to \p Target's
+  /// priority lane.
+  void pushDelta(uint32_t Target, unsigned E, const DenseBitSet &Ctx);
   /// Shard-local fast path: the detecting shard applies \p E to its own
   /// subscribed switches immediately (one RCU swap each). \p DetectDense
   /// learns via the SWITCH rule's own Fresh merge and is skipped here.
@@ -529,8 +509,8 @@ private:
   /// events containing \p E's enabling chain — instead.
   void mergeEventInto(Shard &S, uint32_t Dense, unsigned E,
                       const DenseBitSet &Ctx);
-  /// Drains \p S's priority control lane (CtrlDelta messages); returns
-  /// how many it processed.
+  /// Drains \p S's priority update lane, merging each delta into the
+  /// shard's subscribed switches; returns how many deltas it processed.
   size_t drainCtrlLane(Shard &S);
   size_t drainBatch(Shard &S);
   /// Drains OutBufs[S.Index] in place (self-delivered hops never touch
@@ -553,7 +533,6 @@ private:
   void forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
                   const netkat::Packet &Out, const DenseBitSet &OutDigest);
   void applyRegister(Shard &S, uint32_t Dense, const DenseBitSet &NewE);
-  void sendToShard(uint32_t Target, Msg &&M);
   /// Pushes \p N already-Pending-counted messages into \p Target's ring
   /// (batch CAS), spilling leftovers to the overflow deque. Stamps each
   /// message's EnqNs when latency histograms are on (hence non-const).
@@ -597,16 +576,8 @@ private:
   std::unique_ptr<SwitchSlot[]> Slots; ///< by dense switch index
   std::vector<std::unique_ptr<Shard>> Shards;
 
-  // Controller.
-  std::unique_ptr<BoundedMpscQueue<uint32_t>> CtrlQ;
-  std::thread CtrlThread;
-  DenseBitSet Occurred; ///< controller-thread private (R of Figure 7)
-  /// Event-driven controller wake (FastUpdates): workers notify after
-  /// pushing to CtrlQ, finish() notifies after raising StopFlag.
-  ControllerWake CtrlWake;
-
-  // Update-pipeline routing (built once at construction when
-  // FastUpdates; all read-only afterwards).
+  // Update-pipeline routing (built once at construction; read-only
+  // afterwards).
   /// Dense switches subscribed to event E and owned by shard S, at
   /// [E * NumShards + S]. A switch subscribes to an event iff adding it
   /// to some family set changes the switch's table, or the event shares
@@ -628,17 +599,21 @@ private:
   std::vector<std::vector<Msg>> InjBufs;
 
   // Counters (cache-line padded, relaxed; see Stats.h).
+  /// Events counts detections that won their DetectNs compare-exchange
+  /// (the Figure 7 CTRLRECV set, one per distinct event).
   RelaxedCounter Injected, Delivered, Dropped, Forwarded, Events;
   RelaxedCounter CtrlDeltas; ///< deltas detecting workers sent other shards
 
   // Fault injection. FaultArmed is per dense switch, read-only after
-  // construction; StormRecs is controller-thread private until join.
+  // construction.
   std::vector<bool> FaultArmed;
-  std::vector<faults::FaultRecord> StormRecs;
   RelaxedCounter FaultDrops, FaultDups, FaultDelays, FaultSheds,
       FaultStalls, FaultStorms, DupDelivered, DupDropped;
   faults::FaultLedger Ledger; ///< assembled by mergeResults()
-  std::vector<std::unique_ptr<std::atomic<int64_t>>> DetectNs; ///< per event
+  /// First-detection stamp per event, raw monotonicNs(), -1 until
+  /// detected; the compare-exchange that sets it elects the one worker
+  /// that counts the event and sends its storm.
+  std::vector<std::unique_ptr<std::atomic<int64_t>>> DetectNs;
   /// First-learn stamp per (dense switch D, event E) at
   /// [D * numEvents + E], raw monotonicNs(), -1 until learned — the same
   /// clock as DetectNs, so the Transition digest is a pure monotonic

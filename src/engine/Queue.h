@@ -10,7 +10,7 @@
 /// Vyukov's array-based MPMC design. Each slot carries a sequence number
 /// so producers claim cells with one fetch_add and consumers observe
 /// fully-constructed elements without locks. The engine uses one queue
-/// per shard (any shard or the controller produces; only the owner
+/// per shard (any shard or the injecting thread produces; only the owner
 /// consumes — MPSC), which degenerates to SPSC wait-free hand-off when
 /// exactly one producer is active.
 ///

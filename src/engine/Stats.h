@@ -106,16 +106,15 @@ struct Stats {
   uint64_t EventsDetected = 0;   ///< distinct NES events that occurred
   uint64_t ConfigTransitions = 0;
 
-  /// Fast-update pipeline tallies (zero when EngineConfig::FastUpdates
-  /// is off): registers advanced by the detecting shard's local fan-out,
-  /// and event-id delta messages the detecting shard pushed onto other
-  /// shards' priority lanes (never one back to itself, so a 1-shard run
-  /// sends none).
+  /// Update-pipeline tallies: registers advanced by the detecting
+  /// shard's local fan-out, and event-id deltas the detecting shard
+  /// pushed onto other shards' priority lanes (never one back to itself,
+  /// so a 1-shard run sends none; fault-plan storm re-sends are counted
+  /// in FaultStorms instead).
   uint64_t FastPathLearns = 0;
   uint64_t CtrlDeltas = 0;
 
-  bool ClassifierPath = true; ///< classifier program vs FDD-walk lookup
-  unsigned BatchSize = 1;     ///< hot-loop dequeue/enqueue batch size
+  unsigned BatchSize = 1; ///< hot-loop dequeue/enqueue batch size
 
   /// The shard placement this run executed under.
   PartitionSummary Partition;
@@ -145,14 +144,17 @@ struct Stats {
   uint64_t TraceDropped = 0;
 
   /// Fault-injection tallies (all zero when no plan is active). Drops,
-  /// dups, and delays are ledgered (deterministic); sheds, stalls, and
-  /// storms are timing-dependent and counted here only.
+  /// dups, and delays are ledgered one record per packet; each detected
+  /// event's storm burst is one ledger record (the event id and the
+  /// repeat count, so it is deterministic too), while FaultStorms counts
+  /// the deltas the burst re-sent. Sheds and stalls are timing-dependent
+  /// and counted here only.
   uint64_t FaultDrops = 0;   ///< packets dropped by the fault plan
   uint64_t FaultDups = 0;    ///< packets duplicated by the fault plan
   uint64_t FaultDelays = 0;  ///< packets delayed by the fault plan
   uint64_t FaultSheds = 0;   ///< messages shed by the overload policy
   uint64_t FaultStalls = 0;  ///< worker stalls taken
-  uint64_t FaultStorms = 0;  ///< controller storm re-broadcasts sent
+  uint64_t FaultStorms = 0;  ///< storm delta re-sends (repeat x shards)
   uint64_t DupDelivered = 0; ///< deliveries descending from a duplicate
   uint64_t DupDropped = 0;   ///< drops descending from a duplicate
 

@@ -8,7 +8,7 @@
 /// \file
 /// A FaultPlan is a seeded, serializable schedule of adversity: per-link
 /// drop/duplicate/delay probabilities with sequence windows, per-shard
-/// stall intervals, a forced queue-capacity clamp, and controller event
+/// stall intervals, a forced queue-capacity clamp, and update-delta
 /// storms. The same plan runs on the engine and on the discrete-event
 /// simulator, so the Definition 6 checker can be exercised against
 /// provoked loss, duplication, and reordering on both substrates.
@@ -81,7 +81,9 @@ struct FaultPlan {
   std::vector<LinkRule> Links;     ///< link drop/dup/delay rules
   std::vector<StallRule> Stalls;   ///< engine worker stalls
   uint64_t QueueCapacityClamp = 0; ///< engine: min() with configured capacity
-  uint32_t CtrlStormRepeat = 0;    ///< engine: extra CtrlMerge broadcasts/event
+  /// Engine: extra rounds of each detected event's update delta the
+  /// detecting worker pushes onto every shard's lane (0 = no storm).
+  uint32_t CtrlStormRepeat = 0;
   uint32_t DelayPolls = 64;        ///< engine: drain polls a delayed msg is held
   double DelayExtraSec = 0.005;    ///< sim: added link latency when delayed
 
@@ -107,7 +109,7 @@ enum class FaultKind : uint8_t {
   Drop = 0,  ///< packet removed at a link egress
   Dup = 1,   ///< packet duplicated at a link egress
   Delay = 2, ///< packet held back at a link egress (reordering)
-  Storm = 3, ///< controller re-broadcast burst for one event
+  Storm = 3, ///< one event's burst of re-sent update deltas
 };
 
 /// Returns a stable lowercase name ("drop", "dup", ...).

@@ -122,7 +122,7 @@ public:
 
   /// Activates a compiled fault plan: link egress drop/dup/delay, the
   /// same content-addressed decisions the engine makes (faults/). The
-  /// engine-only plan elements (worker stalls, queue clamps, controller
+  /// engine-only plan elements (worker stalls, queue clamps, update-delta
   /// storms) are no-ops here — the simulator has no worker threads or
   /// bounded rings. \p FI must outlive the simulation; null disables.
   void setFaults(const faults::Injector *FI) { Faults = FI; }

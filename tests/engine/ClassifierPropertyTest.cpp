@@ -295,9 +295,8 @@ TEST(ClassifierProperty, WarmLookupsAllocateNothing) {
 TEST(ClassifierProperty, EngineFreelistsNeverGrow) {
   // The engine pre-sizes every recycled pool (classifier outputs,
   // per-target egress buffers, the self-delivery swap space) from
-  // EngineConfig::BatchSize, so a steady-state classifier run reports
-  // zero freelist growth — from the very first packet, not just "once
-  // warm".
+  // EngineConfig::BatchSize, so a steady-state run reports zero freelist
+  // growth — from the very first packet, not just "once warm".
   apps::App A = apps::ringApp(8, 4);
   api::Result<nes::CompiledProgram> C = nes::compileAst(A.Ast, A.Topo);
   ASSERT_TRUE(C.ok()) << C.status().str();
@@ -305,7 +304,6 @@ TEST(ClassifierProperty, EngineFreelistsNeverGrow) {
   for (unsigned Shards : {1u, 2u, 4u}) {
     engine::EngineConfig Cfg;
     Cfg.NumShards = Shards;
-    Cfg.UseClassifier = true;
     Cfg.BatchSize = 32;
     Cfg.RecordTrace = false; // the throughput-benchmark shape
     Cfg.RecordDeliveries = false;

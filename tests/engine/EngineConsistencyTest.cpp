@@ -18,7 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <set>
 
 using namespace eventnet;
@@ -94,16 +93,13 @@ Scenario ringScenario(uint64_t Seed) {
 }
 
 consistency::CheckResult runAndCheck(Scenario &S, unsigned Shards,
-                                     bool Classifier,
+                                     unsigned Batch,
                                      PartitionStrategy Partition,
                                      bool Broadcast = false) {
   EngineConfig Cfg;
   Cfg.NumShards = Shards;
   Cfg.CtrlBroadcast = Broadcast;
-  Cfg.UseClassifier = Classifier;
-  // The classifier rows also take the batched loop shape; the oracle
-  // rows re-verify the PR 1 message-at-a-time shape.
-  Cfg.BatchSize = Classifier ? 32 : 1;
+  Cfg.BatchSize = Batch;
   Cfg.Partition = Partition;
   Engine E(S.C->structure(), S.A.Topo, Cfg);
   E.run(S.W);
@@ -114,16 +110,17 @@ consistency::CheckResult runAndCheck(Scenario &S, unsigned Shards,
 
 } // namespace
 
-/// (seed, classifier on/off, partition strategy): the Definition 6
-/// theorem must hold on the classifier fast path exactly as on the
-/// FDD-walk oracle path, under every shard placement — the tag/digest
-/// protocol cannot care *where* a switch's owner thread runs.
+/// (seed, batch size, partition strategy): the Definition 6 theorem must
+/// hold in the batched hot loop exactly as in the message-at-a-time one
+/// (batch 1), under every shard placement — the tag/digest protocol
+/// cannot care *where* a switch's owner thread runs, nor how many
+/// messages it claims per drain.
 class EngineConsistency
     : public ::testing::TestWithParam<
-          std::tuple<uint64_t, bool, PartitionStrategy>> {
+          std::tuple<uint64_t, unsigned, PartitionStrategy>> {
 protected:
   uint64_t seed() const { return std::get<0>(GetParam()); }
-  bool classifier() const { return std::get<1>(GetParam()); }
+  unsigned batch() const { return std::get<1>(GetParam()); }
   PartitionStrategy partition() const { return std::get<2>(GetParam()); }
 };
 
@@ -134,10 +131,9 @@ TEST_P(EngineConsistency, AllAppsAllShardCounts) {
     for (unsigned Shards : {1u, 2u, 4u}) {
       Scenario S = Make(seed());
       ASSERT_TRUE(S.C.ok()) << S.A.Name << ": " << S.C.status().str();
-      auto R = runAndCheck(S, Shards, classifier(), partition());
+      auto R = runAndCheck(S, Shards, batch(), partition());
       EXPECT_TRUE(R.Correct)
-          << S.A.Name << " shards=" << Shards
-          << " classifier=" << classifier()
+          << S.A.Name << " shards=" << Shards << " batch=" << batch()
           << " partition=" << partitionStrategyName(partition()) << ": "
           << R.Reason;
     }
@@ -147,14 +143,14 @@ TEST_P(EngineConsistency, AllAppsAllShardCounts) {
 TEST_P(EngineConsistency, FirewallWithControllerBroadcast) {
   Scenario S = firewallScenario(seed());
   ASSERT_TRUE(S.C.ok()) << S.C.status().str();
-  auto R = runAndCheck(S, 4, classifier(), partition(),
-                       /*Broadcast=*/true);
+  auto R = runAndCheck(S, 4, batch(), partition(), /*Broadcast=*/true);
   EXPECT_TRUE(R.Correct) << R.Reason;
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    SeedsByPath, EngineConsistency,
-    ::testing::Combine(::testing::Values(1, 7, 13, 42), ::testing::Bool(),
+    SeedsByBatch, EngineConsistency,
+    ::testing::Combine(::testing::Values(1, 7, 13, 42),
+                       ::testing::Values(1u, 32u),
                        ::testing::Values(PartitionStrategy::Modulo,
                                          PartitionStrategy::Contiguous,
                                          PartitionStrategy::Refined)));
@@ -302,19 +298,18 @@ INSTANTIATE_TEST_SUITE_P(
 
 /// The event-storm sweep: the churn workload (distinct-flow data storm
 /// with probe triggers scattered through it, so transitions race
-/// sustained traffic) must hold Definition 6 across both update
-/// pipelines, shard counts, partition strategies, and overload
-/// policies. The queues are kept tiny so the shed policies genuinely
-/// retire chains under plain pressure — no fault plan is armed, which
-/// is the point: shed tickets must be ledgered and handed to the
-/// checker as excusal context even without one.
+/// sustained traffic) must hold Definition 6 across shard counts,
+/// partition strategies, and overload policies. The queues are kept
+/// tiny so the shed policies genuinely retire chains under plain
+/// pressure — no fault plan is armed, which is the point: shed tickets
+/// must be ledgered and handed to the checker as excusal context even
+/// without one.
 class EngineStormConsistency
     : public ::testing::TestWithParam<
-          std::tuple<bool, unsigned, PartitionStrategy, OverloadPolicy>> {
-};
+          std::tuple<unsigned, PartitionStrategy, OverloadPolicy>> {};
 
 TEST_P(EngineStormConsistency, ChurnStormHoldsDefinitionSix) {
-  auto [FastUpdates, Shards, Partition, Policy] = GetParam();
+  auto [Shards, Partition, Policy] = GetParam();
   apps::App A = apps::ringApp(8, 4);
   api::Result<api::Compilation> C = compileApp(A);
   ASSERT_TRUE(C.ok()) << C.status().str();
@@ -323,7 +318,6 @@ TEST_P(EngineStormConsistency, ChurnStormHoldsDefinitionSix) {
   Cfg.NumShards = Shards;
   Cfg.Partition = Partition;
   Cfg.Overload = Policy;
-  Cfg.FastUpdates = FastUpdates;
   Cfg.QueueCapacity = 8; // keep the storm pressing on the policy
   Engine E(C->structure(), A.Topo, Cfg);
   TrafficGen G(A.Topo, 31);
@@ -332,8 +326,8 @@ TEST_P(EngineStormConsistency, ChurnStormHoldsDefinitionSix) {
   // Exact conservation: a shed is an accounted drop, never silent loss.
   Stats St = E.stats();
   EXPECT_EQ(St.PacketsDelivered + St.PacketsDropped, St.PacketsInjected)
-      << "fast=" << FastUpdates << " shards=" << Shards
-      << " policy=" << overloadPolicyName(Policy) << ": silent loss";
+      << "shards=" << Shards << " policy=" << overloadPolicyName(Policy)
+      << ": silent loss";
 
   faults::FaultLedger L = E.takeFaultLedger();
   consistency::FaultContext Ctx;
@@ -344,82 +338,29 @@ TEST_P(EngineStormConsistency, ChurnStormHoldsDefinitionSix) {
                                         C->structure(),
                                         HasCtx ? &Ctx : nullptr);
   EXPECT_TRUE(R.Correct)
-      << "fast=" << FastUpdates << " shards=" << Shards
+      << "shards=" << Shards
       << " partition=" << partitionStrategyName(Partition)
       << " policy=" << overloadPolicyName(Policy) << ": " << R.Reason;
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    PipelinesByPressure, EngineStormConsistency,
-    ::testing::Combine(::testing::Bool(), ::testing::Values(1u, 3u),
+    ShardsByPressure, EngineStormConsistency,
+    ::testing::Combine(::testing::Values(1u, 3u),
                        ::testing::Values(PartitionStrategy::Modulo,
                                          PartitionStrategy::Refined),
                        ::testing::Values(OverloadPolicy::Block,
                                          OverloadPolicy::ShedOldest,
                                          OverloadPolicy::ShedNewest)),
     [](const ::testing::TestParamInfo<
-        std::tuple<bool, unsigned, PartitionStrategy, OverloadPolicy>>
-           &I) {
-      std::string N =
-          std::string(std::get<0>(I.param) ? "fast" : "legacy") + "_s" +
-          std::to_string(std::get<1>(I.param)) + "_" +
-          partitionStrategyName(std::get<2>(I.param)) + "_" +
-          overloadPolicyName(std::get<3>(I.param));
+        std::tuple<unsigned, PartitionStrategy, OverloadPolicy>> &I) {
+      std::string N = "s" + std::to_string(std::get<0>(I.param)) + "_" +
+                      partitionStrategyName(std::get<1>(I.param)) + "_" +
+                      overloadPolicyName(std::get<2>(I.param));
       for (char &C : N)
         if (C == '-')
           C = '_';
       return N;
     });
-
-TEST(EngineUpdatePipeline, FastAndControllerPathsConvergeToSameViews) {
-  // The same workload through the fast pipeline (shard-local fan-out +
-  // priority-lane deltas) and the historical controller pipeline
-  // (full-bitset CtrlMerge broadcast) must leave every switch in the
-  // *identical* published state: same tag, same register, and — because
-  // the ring fires exactly one event, so each switch transitions
-  // exactly once — the same view version. Independent per-switch
-  // publication changes when registers advance, never what they
-  // converge to.
-  apps::App A = apps::ringApp(8, 4);
-  api::Result<api::Compilation> C = compileApp(A);
-  ASSERT_TRUE(C.ok()) << C.status().str();
-
-  auto finalViews = [&](bool FastUpdates) {
-    EngineConfig Cfg;
-    Cfg.NumShards = 3;
-    Cfg.FastUpdates = FastUpdates;
-    Cfg.CtrlBroadcast = true; // both pipelines must reach every switch
-    Engine E(C->structure(), A.Topo, Cfg);
-    TrafficGen G(A.Topo, 11);
-    Workload W = G.pings(1, 4);
-    W += G.probe(topo::HostH1, topo::HostH2);
-    W += G.pings(2, 4);
-    E.run(W);
-    Stats St = E.stats();
-    EXPECT_EQ(St.EventsDetected, 1u);
-    if (FastUpdates) {
-      EXPECT_GT(St.FastPathLearns + St.CtrlDeltas, 0u)
-          << "fast pipeline was configured but never exercised";
-    } else {
-      EXPECT_EQ(St.FastPathLearns, 0u);
-      EXPECT_EQ(St.CtrlDeltas, 0u);
-    }
-    std::map<SwitchId, Engine::ViewSnapshot> V;
-    for (SwitchId Sw : A.Topo.switches())
-      V[Sw] = E.readView(Sw);
-    return V;
-  };
-
-  auto FastV = finalViews(true);
-  auto CtrlV = finalViews(false);
-  ASSERT_EQ(FastV.size(), CtrlV.size());
-  for (auto &[Sw, F] : FastV) {
-    const Engine::ViewSnapshot &L = CtrlV[Sw];
-    EXPECT_EQ(F.Tag, L.Tag) << "switch " << Sw;
-    EXPECT_TRUE(F.E == L.E) << "switch " << Sw << ": registers differ";
-    EXPECT_EQ(F.Version, L.Version) << "switch " << Sw;
-  }
-}
 
 TEST(EngineUpdatePipeline, DetectingShardSendsDeltasOnlyToOtherShards) {
   // One probe fires the ring's event. The detecting worker pushes the

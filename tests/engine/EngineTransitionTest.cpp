@@ -151,24 +151,51 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(uint64_t(1), uint64_t(42))));
 
 TEST(EngineTransition, BroadcastPropagatesEventsToAllSwitches) {
-  apps::App A = apps::firewallApp();
-  api::Result<nes::CompiledProgram> CR =
-      nes::compileSource(A.Source, A.Topo);
-  ASSERT_TRUE(CR.ok()) << CR.status().str();
-  nes::CompiledProgram &C = *CR;
+  // With CTRLSEND broadcast every switch must learn the event. Each input
+  // fires exactly one event, so every interleaving of detection, local
+  // fan-out and lane deltas must reach the same fixpoint: on every switch
+  // the register is {e}, the tag indexes it, and the view transitioned
+  // exactly once.
+  auto ExpectFixpoint = [](const nes::Nes &N, const topo::Topology &Topo,
+                           unsigned Shards, const Workload &W,
+                           const char *Input) {
+    EngineConfig Cfg;
+    Cfg.NumShards = Shards;
+    Cfg.CtrlBroadcast = true;
+    Engine E(N, Topo, Cfg);
+    E.run(W);
 
-  EngineConfig Cfg;
-  Cfg.NumShards = 2;
-  Cfg.CtrlBroadcast = true;
-  Engine E(*C.N, A.Topo, Cfg);
+    ASSERT_EQ(E.stats().EventsDetected, 1u) << Input;
+    ASSERT_EQ(N.numEvents(), 1u) << Input;
+    DenseBitSet Only;
+    Only.set(0);
+    for (SwitchId Sw : Topo.switches()) {
+      Engine::ViewSnapshot V = E.readView(Sw);
+      EXPECT_TRUE(V.E == Only)
+          << Input << ": switch " << Sw << " register is not {e}";
+      EXPECT_EQ(std::optional<nes::SetId>(V.Tag), N.setIndex(V.E))
+          << Input << ": switch " << Sw;
+      EXPECT_EQ(V.Version, 1u) << Input << ": switch " << Sw;
+    }
+    EXPECT_EQ(E.learnTimes().size(), Topo.switches().size()) << Input;
+  };
 
-  TrafficGen G(A.Topo, 3);
-  E.run(firewallScript(G));
-
-  // With CTRLSEND broadcast every switch must have learned the event.
-  for (SwitchId Sw : A.Topo.switches()) {
-    Engine::ViewSnapshot V = E.readView(Sw);
-    EXPECT_EQ(V.E.count(), 1u) << "switch " << Sw << " missed the event";
+  {
+    apps::App A = apps::firewallApp();
+    api::Result<nes::CompiledProgram> CR =
+        nes::compileSource(A.Source, A.Topo);
+    ASSERT_TRUE(CR.ok()) << CR.status().str();
+    TrafficGen G(A.Topo, 3);
+    ExpectFixpoint(*CR->N, A.Topo, 2, firewallScript(G), "firewall");
   }
-  EXPECT_EQ(E.learnTimes().size(), A.Topo.switches().size());
+  {
+    apps::App A = apps::ringApp(8, 4);
+    api::Result<nes::CompiledProgram> CR = nes::compileAst(A.Ast, A.Topo);
+    ASSERT_TRUE(CR.ok()) << CR.status().str();
+    TrafficGen G(A.Topo, 11);
+    Workload W = G.pings(1, 4);
+    W += G.probe(topo::HostH1, topo::HostH2);
+    W += G.pings(2, 4);
+    ExpectFixpoint(*CR->N, A.Topo, 3, W, "ring");
+  }
 }

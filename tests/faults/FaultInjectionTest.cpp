@@ -248,9 +248,11 @@ TEST(FaultInjection, OverloadPolicyNamesRoundTrip) {
   EXPECT_FALSE(engine::parseOverloadPolicy("drop-all").has_value());
 }
 
-TEST(FaultInjection, StallsAndStormsAreCountedNotLedgered) {
-  // Timing-dependent faults perturb the schedule but stay out of the
-  // deterministic ledger.
+TEST(FaultInjection, StallsAreCountedAndEachStormIsOneLedgerRecord) {
+  // Stalls are timing-dependent: they perturb the schedule but stay out
+  // of the deterministic ledger. A storm is a burst of re-sent update
+  // deltas per detected event; the burst is one ledger record (event id,
+  // repeat count) and its re-sends are counted.
   api::Result<api::Compilation> C = compileFirewall();
   ASSERT_TRUE(C.ok()) << C.status().str();
 
@@ -275,9 +277,12 @@ TEST(FaultInjection, StallsAndStormsAreCountedNotLedgered) {
       api::RunOptions().seed(9).shards(2).phases(6).pingsPerPhase(4).faults(
           Storm));
   ASSERT_TRUE(RS.ok()) << RS.status().str();
-  // The firewall app has one event; each occurrence re-broadcasts to
-  // every shard CtrlStormRepeat times.
-  EXPECT_GT(RS->Faults.Storms, 0u);
+  // The firewall app has one event; its detecting worker re-sends the
+  // delta to each of the 2 shards CtrlStormRepeat (3) times and ledgers
+  // the burst once.
+  EXPECT_GT(RS->EventsDetected, 0u);
+  EXPECT_EQ(RS->Faults.Storms, 3u * 2u * RS->EventsDetected);
+  EXPECT_EQ(RS->Faults.LedgerEntries, RS->EventsDetected);
   ASSERT_TRUE(RS->Checked);
   EXPECT_TRUE(RS->Consistency.Correct) << RS->Consistency.Reason;
 }

@@ -9,9 +9,10 @@
 //             [--dump-ets] [--dump-nes] [--dump-tables] [--share]
 //             [--stats] [--json]
 //   eventnetc run <program.snk> --topo <topo.txt>
-//             [--backend machine|sim|engine] [--seed S] [--shards N]
+//             [--backend machine|sim|engine|net] [--seed S] [--shards N]
 //             [--workload ping|churn] [--churn-rate N]
-//             [--phases N] [--per-phase N] [--classifier on|off]
+//             [--phases N] [--per-phase N]
+//             [--net-connections N] [--net-udp]
 //             [--batch N] [--partition modulo|contiguous|refined]
 //             [--no-check] [--json]
 //             [--stream-check] [--check-window N] [--check-differential]
@@ -71,8 +72,7 @@ int usage() {
           "            [--workload ping|churn] [--churn-rate N]\n"
           "            [--shards N] [--phases N] [--per-phase N]\n"
           "            [--net-connections N] [--net-udp]\n"
-          "            [--classifier on|off] [--batch N]\n"
-          "            [--partition modulo|contiguous|refined]\n"
+          "            [--batch N] [--partition modulo|contiguous|refined]\n"
           "            [--no-check] [--json]\n"
           "            [--stream-check] [--check-window N]\n"
           "            [--check-differential]\n"
@@ -247,13 +247,6 @@ api::Status parseArgs(int argc, char **argv, const std::string &Cmd,
           N > 0xFFFFFFFFull)
         return Bad("--duration needs a seconds count in [0, 2^32)");
       A.Serve.DurationSec = static_cast<unsigned>(N);
-    } else if (Arg == "--classifier") {
-      if (IsCompile)
-        return WrongCommand();
-      const char *V = TakeValue();
-      if (!V || (strcmp(V, "on") != 0 && strcmp(V, "off") != 0))
-        return Bad("--classifier needs 'on' or 'off'");
-      A.Run.classifier(strcmp(V, "on") == 0);
     } else if (Arg == "--partition") {
       if (IsCompile)
         return WrongCommand();
