@@ -317,11 +317,12 @@ void Engine::shedLocked(Shard &Dst, Msg &M) {
   // injected still holds and the audit can tell policy loss from
   // silent loss. An unstarted injection is counted injected-and-dropped
   // for the same reason; its emission was never trace-logged, so the
-  // checker sees nothing to excuse.
+  // checker sees nothing to excuse. This runs on the producer's thread,
+  // so it bumps the destination shard's counters (relaxed atomics, so
+  // the owner's concurrent bumps are safe).
   Pending.fetch_sub(1);
   Dst.Shed.add();
   Dst.Dropped.add();
-  Dropped.add();
   FaultSheds.add();
   if (M.K == Msg::PacketIn) {
     if (M.P.FromDup)
@@ -333,7 +334,7 @@ void Engine::shedLocked(Shard &Dst, Msg &M) {
         Dst.ShedStream.push_back(M.P.Parent);
     }
   } else {
-    Injected.add();
+    Dst.Injected.add();
   }
   obsRecord(Dst, obs::TraceKind::Shed, Dst.Index,
             static_cast<uint32_t>(M.K));
@@ -370,7 +371,6 @@ void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
   if (!Eg) {
     // Dangling port: discarded, no occurrence logged (as in the
     // simulator).
-    Dropped.add();
     S.Dropped.add();
     if (P.FromDup)
       DupDropped.add();
@@ -381,12 +381,12 @@ void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
 
   if (Eg->IsHost) {
     logEntry(S, Out, P.Parent, /*IsDelivery=*/true, P.Tag);
-    Delivered.add();
+    S.Delivered.add();
     if (P.FromDup)
       DupDelivered.add();
     HostId H = Eg->Host;
     if (C.RecordDeliveries)
-      S.Delivered.push_back({H, Out});
+      S.Deliveries.push_back({H, Out});
     if (C.DeliverySink)
       C.DeliverySink(H, Out);
 
@@ -397,19 +397,23 @@ void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
       Value Src = Out.getOr(sim::ipSrcField(), -1);
       if (Src >= 0) {
         uint64_t Seq = static_cast<uint64_t>(Out.getOr(sim::seqField(), 0));
-        // The replying host sits at this switch, i.e. on this shard;
-        // the reply rides the batched egress buffer like any output
-        // (flushOut does the Pending accounting for the whole batch).
+        // The reply is an injection by H, which is attached right here:
+        // it enters at At on switch D (this shard), placed there like
+        // injectBatch's injections. It rides the batched egress buffer
+        // like any output (flushOut does the Pending accounting for the
+        // whole batch).
         Msg &R = S.OutBufs[Slots[D].Shard].next();
         R.K = Msg::Inject;
         R.From = H;
-        R.Header = sim::makeWireHeader(H, static_cast<HostId>(Src),
-                                       sim::KindReply, Seq);
+        R.P.Pkt = sim::makeWireHeader(H, static_cast<HostId>(Src),
+                                      sim::KindReply, Seq);
         // The session tag rides the round trip: the reply must route
         // back to the connection that emitted the request.
         Value Conn = Out.getOr(sim::connField(), -1);
         if (Conn >= 0)
-          R.Header.set(sim::connField(), Conn);
+          R.P.Pkt.set(sim::connField(), Conn);
+        R.P.Pkt.setLoc(At);
+        R.P.Dense = D;
       }
     }
     return;
@@ -434,7 +438,6 @@ void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
                                    static_cast<uint64_t>(P.Parent), -1,
                                    Packet(), false, false});
     }
-    Dropped.add();
     S.Dropped.add();
     FaultDrops.add();
     if (P.FromDup)
@@ -472,7 +475,7 @@ void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
     S.FaultRecs.push_back(faults::Injector::recordAt(faults::FaultKind::Delay,
                                                      At.Sw, At.Pt, Out));
     FaultDelays.add();
-    Forwarded.add();
+    S.Forwarded.add();
     obsRecord(S, obs::TraceKind::FaultDelay, static_cast<uint32_t>(At.Sw),
               At.Pt);
     return;
@@ -481,7 +484,7 @@ void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
   // Build the hop into a recycled egress slot (copy-assignments reuse
   // the slot's heap capacity; nothing here allocates once warm).
   FillHop(S.OutBufs[DstShard].next(), EgressTicket, P.FromDup);
-  Forwarded.add();
+  S.Forwarded.add();
 
   if (FA == faults::Action::Dup) {
     // Second copy with its own egress entry (the trace stays a tree);
@@ -497,7 +500,7 @@ void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
     S.FaultRecs.push_back(
         faults::Injector::recordAt(faults::FaultKind::Dup, At.Sw, At.Pt, Out));
     FaultDups.add();
-    Forwarded.add();
+    S.Forwarded.add();
     obsRecord(S, obs::TraceKind::FaultDup, static_cast<uint32_t>(At.Sw),
               At.Pt);
   }
@@ -598,7 +601,6 @@ void Engine::processPacket(Shard &S, EnginePacket &P) {
   S.ClsOut.reset();
   Pipe.applyClassifier(P.Pkt, S.ClsOut);
   if (S.ClsOut.size() == 0) {
-    Dropped.add();
     S.Dropped.add();
     if (P.FromDup)
       DupDropped.add();
@@ -672,24 +674,23 @@ void Engine::fanOutLocal(Shard &S, unsigned E, uint32_t DetectDense,
   }
 }
 
-void Engine::handleInject(Shard &S, HostId From, Packet Header) {
-  Location At = Topo.hostLoc(From);
-  uint32_t D = Idx.denseOf(At.Sw);
-  SwitchSlot &Sl = Slots[D];
-
-  EnginePacket P;
-  P.Pkt = std::move(Header);
-  P.Pkt.setLoc(At);
-  P.Dense = D;
+void Engine::handleInject(Shard &S, Msg &M) {
+  // The sender placed the header at the host's ingress location and
+  // resolved its dense index; the slot is recycled, so every other
+  // Section 4 field is set afresh here.
+  EnginePacket &P = M.P;
+  SwitchSlot &Sl = Slots[P.Dense];
+  P.Digest.clear();
+  P.FromDup = false;
   // IN rule: stamp the ingress switch's current tag. The emission is
   // logged now, at stamping time, so the trace's per-switch order places
   // it against the register state it observed.
   P.Tag = Sl.Tag;
   P.Parent = logEntry(S, P.Pkt, -1, false, P.Tag);
   P.IngressLogged = true;
-  Injected.add();
-  obsRecord(S, obs::TraceKind::Inject, static_cast<uint32_t>(From),
-            static_cast<uint32_t>(At.Sw));
+  S.Injected.add();
+  obsRecord(S, obs::TraceKind::Inject, static_cast<uint32_t>(M.From),
+            static_cast<uint32_t>(Sl.Id));
   processPacket(S, P);
 }
 
@@ -701,7 +702,7 @@ void Engine::processMsg(Shard &S, Msg &M) {
   if (M.K == Msg::PacketIn)
     processPacket(S, M.P);
   else
-    handleInject(S, M.From, std::move(M.Header));
+    handleInject(S, M);
   // Pending accounting happens per batch (drainBatch), not per message.
 }
 
@@ -1019,23 +1020,29 @@ void Engine::injectBatch(const Injection *Inj, size_t N) {
   // Injections are grouped by the shard owning each host's ingress
   // switch and handed over with one batch push (and one Pending add) per
   // shard — the injector never round-robins single messages through the
-  // rings. The group buffers keep their capacity across calls.
-  for (auto &B : InjBufs)
-    B.clear();
+  // rings. Headers are copy-assigned into recycled slots and placed at
+  // the host's ingress here (the location is resolved for the grouping
+  // anyway), so a warm injecting thread allocates nothing and every
+  // packet a ring cell holds has the same location fields.
+  for (MsgBuf &B : InjBufs)
+    B.reset();
   for (size_t I = 0; I != N; ++I) {
     const Injection &In = Inj[I];
     Location At = Topo.hostLoc(In.From);
-    Msg M;
+    uint32_t D = Idx.denseOf(At.Sw);
+    Msg &M = InjBufs[Slots[D].Shard].next();
     M.K = Msg::Inject;
     M.From = In.From;
-    M.Header = In.Header;
-    InjBufs[Slots[Idx.denseOf(At.Sw)].Shard].push_back(std::move(M));
+    M.P.Pkt = In.Header;
+    M.P.Pkt.setLoc(At);
+    M.P.Dense = D;
   }
   for (uint32_t T = 0; T != C.NumShards; ++T) {
-    if (InjBufs[T].empty())
+    MsgBuf &B = InjBufs[T];
+    if (B.size() == 0)
       continue;
-    Pending.fetch_add(static_cast<int64_t>(InjBufs[T].size()));
-    pushBatchToShard(T, InjBufs[T].data(), InjBufs[T].size());
+    Pending.fetch_add(static_cast<int64_t>(B.size()));
+    pushBatchToShard(T, B.data(), B.size());
   }
 }
 
@@ -1105,8 +1112,8 @@ void Engine::mergeResults() {
   }
 
   for (auto &S : Shards)
-    MergedDeliveries.insert(MergedDeliveries.end(), S->Delivered.begin(),
-                            S->Delivered.end());
+    MergedDeliveries.insert(MergedDeliveries.end(), S->Deliveries.begin(),
+                            S->Deliveries.end());
 
   // Fault ledger: collect the per-shard records (owner-written, read
   // post-join) and remap the excused/duplicate tickets into merged
@@ -1158,10 +1165,6 @@ void Engine::mergeResults() {
   // Final stats, including the transition-latency aggregates.
   FinalStats = Stats();
   FinalStats.ElapsedSec = ElapsedSec;
-  FinalStats.PacketsInjected = Injected.get();
-  FinalStats.PacketsDelivered = Delivered.get();
-  FinalStats.PacketsDropped = Dropped.get();
-  FinalStats.PacketsForwarded = Forwarded.get();
   FinalStats.EventsDetected = Events.get();
   FinalStats.CtrlDeltas = CtrlDeltas.get();
   FinalStats.BatchSize = C.BatchSize;
@@ -1172,10 +1175,7 @@ void Engine::mergeResults() {
     ShardStats SS = baseShardStats(*S);
     SS.QueueDepth = 0;
     SS.FreelistGrowth = freelistGrowth(*S);
-    FinalStats.PacketsProcessed += SS.PacketsProcessed;
-    FinalStats.ConfigTransitions += SS.Transitions;
-    FinalStats.FastPathLearns += SS.FastLearns;
-    FinalStats.Shards.push_back(SS);
+    addShardTotals(FinalStats, *S, SS);
   }
   if (ElapsedSec > 0) {
     FinalStats.PacketsPerSec = FinalStats.PacketsProcessed / ElapsedSec;
@@ -1211,10 +1211,6 @@ Stats Engine::stats() const {
     return FinalStats;
   Stats S;
   S.ElapsedSec = nowSec();
-  S.PacketsInjected = Injected.get();
-  S.PacketsDelivered = Delivered.get();
-  S.PacketsDropped = Dropped.get();
-  S.PacketsForwarded = Forwarded.get();
   S.EventsDetected = Events.get();
   S.CtrlDeltas = CtrlDeltas.get();
   S.BatchSize = C.BatchSize;
@@ -1228,10 +1224,7 @@ Stats Engine::stats() const {
       std::lock_guard<std::mutex> Lock(Sh->OverflowMu);
       SS.QueueDepth += Sh->Overflow.size();
     }
-    S.PacketsProcessed += SS.PacketsProcessed;
-    S.ConfigTransitions += SS.Transitions;
-    S.FastPathLearns += SS.FastLearns;
-    S.Shards.push_back(SS);
+    addShardTotals(S, *Sh, SS);
   }
   if (S.ElapsedSec > 0) {
     S.PacketsPerSec = S.PacketsProcessed / S.ElapsedSec;
@@ -1294,6 +1287,17 @@ ShardStats Engine::baseShardStats(const Shard &Sh) const {
     SS.TraceDropped = Sh.ObsRing->droppedCount();
   }
   return SS;
+}
+
+void Engine::addShardTotals(Stats &S, const Shard &Sh, const ShardStats &SS) {
+  S.PacketsInjected += Sh.Injected.get();
+  S.PacketsDelivered += Sh.Delivered.get();
+  S.PacketsForwarded += Sh.Forwarded.get();
+  S.PacketsDropped += SS.Dropped;
+  S.PacketsProcessed += SS.PacketsProcessed;
+  S.ConfigTransitions += SS.Transitions;
+  S.FastPathLearns += SS.FastLearns;
+  S.Shards.push_back(SS);
 }
 
 Engine::ViewSnapshot Engine::readView(SwitchId Sw) const {

@@ -352,12 +352,15 @@ private:
     bool FromDup = false;
   };
 
-  /// A data-ring message: a hop in flight or a host injection.
+  /// A data-ring message carrying one packet: a hop in flight
+  /// (PacketIn) or a host injection (Inject). An injection's header
+  /// rides in P.Pkt, already placed at the host's ingress with P.Dense
+  /// set; handleInject fills in the rest of P where the message sits, so
+  /// a recycled slot keeps its packet's capacity.
   struct Msg {
     enum Kind : uint8_t { PacketIn, Inject } K = PacketIn;
-    EnginePacket P;        // PacketIn
-    HostId From = 0;       // Inject
-    netkat::Packet Header; // Inject
+    EnginePacket P;
+    HostId From = 0;   ///< injecting host (Inject only)
     int64_t EnqNs = 0; ///< ring-enqueue stamp (only when LatencyHistograms)
   };
 
@@ -383,10 +386,11 @@ private:
     obs::LogHistogram Occupancy;  ///< messages per non-empty drain batch
   };
 
-  /// A recycled outgoing-message buffer for one target shard: slots keep
-  /// their heap capacity across reset(), so steady-state egress batching
-  /// allocates nothing (the flush *copies* into the target ring's cells,
-  /// which are themselves recycled — see Queue.h).
+  /// A recycled message buffer for one target shard (a worker's egress,
+  /// injectBatch's injections): slots keep their heap capacity across
+  /// reset(), so steady-state batching allocates nothing (the flush
+  /// *copies* into the target ring's cells, which are themselves
+  /// recycled after the ring's first lap — see Queue.h).
   using MsgBuf = RecyclePool<Msg>;
 
   struct Shard {
@@ -410,7 +414,7 @@ private:
     std::deque<Delta> CtrlLane;
     std::atomic<uint32_t> CtrlLaneSize{0};
     std::vector<TraceRec> Trace;
-    std::vector<std::pair<HostId, netkat::Packet>> Delivered;
+    std::vector<std::pair<HostId, netkat::Packet>> Deliveries;
     RetireList<SwitchView> Retired;
     std::thread Thread;
     PacketBuf ClsOut;            ///< recycled classifier outputs
@@ -425,6 +429,14 @@ private:
     /// delta merges); separate from the SWITCH-rule scratch so a
     /// mid-detection fan-out cannot clobber the Known/Fresh sets.
     DenseBitSet ScratchFan;
+    /// Per-message counters live on the shard that bumps them, so no two
+    /// workers ever write the same counter line. Only the owner bumps
+    /// them, except that a shed (run on the producer's thread) bumps the
+    /// destination shard's Injected/Dropped/Shed; stats() and
+    /// mergeResults() sum them over shards.
+    RelaxedCounter Injected;  ///< injections stamped (or shed) here
+    RelaxedCounter Delivered; ///< packets handed to hosts here
+    RelaxedCounter Forwarded; ///< link traversals sent from here
     RelaxedCounter Processed;
     RelaxedCounter Transitions;
     RelaxedCounter Dropped;
@@ -528,7 +540,9 @@ private:
   void flushOut(Shard &S);
   void prefetchMsg(const Msg &M) const;
   void processMsg(Shard &S, Msg &M);
-  void handleInject(Shard &S, HostId From, netkat::Packet Header);
+  /// IN rule for an Inject message, applied in place: \p M's packet is
+  /// stamped and processed from its slot.
+  void handleInject(Shard &S, Msg &M);
   void processPacket(Shard &S, EnginePacket &P);
   void forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
                   const netkat::Packet &Out, const DenseBitSet &OutDigest);
@@ -556,6 +570,9 @@ private:
   /// after join, racy-but-consistent during run for the sampler).
   void fillObsStats(Stats &S) const;
   ShardStats baseShardStats(const Shard &Sh) const;
+  /// Adds \p Sh's counters (with \p SS, its ShardStats) into \p S's
+  /// engine-wide totals and appends \p SS to S.Shards.
+  static void addShardTotals(Stats &S, const Shard &Sh, const ShardStats &SS);
   static int64_t monotonicNs() {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(
                std::chrono::steady_clock::now().time_since_epoch())
@@ -594,14 +611,18 @@ private:
   std::atomic<bool> StopFlag{false};
   std::atomic<int64_t> StartNs{0}; ///< run() start, steady-clock ns
   bool Started = false; ///< start() ran (driver-thread private)
-  /// Injection group buffers, one per shard; keep their capacity across
-  /// injectBatch() calls (driver-thread private).
-  std::vector<std::vector<Msg>> InjBufs;
+  /// Injection group buffers, one per ingress shard, reset() per
+  /// injectBatch() call: headers are copy-assigned into slots that keep
+  /// their capacity, so a warm injecting thread allocates nothing per
+  /// injection (private to the injecting thread).
+  std::vector<MsgBuf> InjBufs;
 
-  // Counters (cache-line padded, relaxed; see Stats.h).
+  // Engine-wide counters (cache-line padded, relaxed; see Stats.h). They
+  // move per event or per fault; the per-message tallies live on the
+  // Shard.
   /// Events counts detections that won their DetectNs compare-exchange
   /// (the Figure 7 CTRLRECV set, one per distinct event).
-  RelaxedCounter Injected, Delivered, Dropped, Forwarded, Events;
+  RelaxedCounter Events;
   RelaxedCounter CtrlDeltas; ///< deltas detecting workers sent other shards
 
   // Fault injection. FaultArmed is per dense switch, read-only after

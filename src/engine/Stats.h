@@ -15,9 +15,13 @@
 /// batch occupancy, each surfaced as p50/p90/p99/max.
 ///
 /// RelaxedCounter is the live-counter type behind the snapshot: each
-/// counter owns a full cache line so shards bumping different counters
-/// never bounce the same line, and every access is a relaxed atomic —
-/// the counters carry no synchronization, only tallies.
+/// counter owns a full cache line and every access is a relaxed atomic —
+/// the counters carry no synchronization, only tallies. Padding only
+/// separates *different* counters; a counter that every worker bumps
+/// still bounces its one line between cores on every bump. So every
+/// counter the hot loop bumps per message is owned by a shard (the
+/// engine's Shard), and the snapshot sums them over shards; the
+/// engine-wide counters left are bumped per event or per fault.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -196,7 +196,6 @@ private:
 
   ServerStats Totals; ///< loop-thread accumulator (+ closed sessions)
   std::vector<Ready> Events;
-  std::vector<uint64_t> Doomed; ///< sessions to tear down after dispatch
 };
 
 } // namespace net

@@ -15,7 +15,10 @@
 //    replacement global operator new);
 //  - zero freelist growth: a full engine run on the classifier path
 //    never grows its recycled egress/output pools — they are pre-sized
-//    from EngineConfig::BatchSize at construction.
+//    from EngineConfig::BatchSize at construction;
+//  - allocation-free steady state: once every ring has completed a lap,
+//    a warm engine performs no heap allocations per injected packet, on
+//    the injecting thread or on the workers.
 //
 //===----------------------------------------------------------------------===//
 
@@ -316,6 +319,77 @@ TEST(ClassifierProperty, EngineFreelistsNeverGrow) {
     ASSERT_GT(S.PacketsDelivered, 0u);
     for (const engine::ShardStats &SS : S.Shards)
       EXPECT_EQ(SS.FreelistGrowth, 0u) << "shards=" << Shards;
+  }
+}
+
+TEST(ClassifierProperty, EngineSteadyStateAllocatesNothing) {
+  // Every buffer a packet passes through is recycled: the injection
+  // slots, the ring cells (built on their first lap, reused
+  // after it), the dequeue batch, the egress buffers and the classifier
+  // outputs. So once each ring has completed a lap, phases of traffic
+  // allocate nothing anywhere in the process. Trace and delivery
+  // recording allocate per packet by design, and echo replies are off
+  // because each reply still builds a fresh sim::makeWireHeader
+  // temporary.
+  apps::App A = apps::ringApp(16, 8);
+  api::Result<nes::CompiledProgram> C = nes::compileAst(A.Ast, A.Topo);
+  ASSERT_TRUE(C.ok()) << C.status().str();
+  engine::SwitchIndex Idx(A.Topo);
+  uint32_t D1 = Idx.denseOf(A.Topo.hostLoc(topo::HostH1).Sw);
+  uint32_t D2 = Idx.denseOf(A.Topo.hostLoc(topo::HostH2).Sw);
+
+  constexpr unsigned PerDir = 128;  // injections per direction per phase
+  constexpr size_t Capacity = 1024; // small rings lap quickly
+  constexpr unsigned Measured = 10;
+  for (unsigned Shards : {1u, 2u}) {
+    engine::EngineConfig Cfg;
+    Cfg.NumShards = Shards;
+    Cfg.QueueCapacity = Capacity;
+    Cfg.RecordTrace = false;
+    Cfg.RecordDeliveries = false;
+    Cfg.EchoReplies = false;
+    engine::Engine E(*C->N, A.Topo, Cfg);
+    // Each direction's injections all enter one ring, and at 2 shards H1
+    // and H2 ingress on different shards, so every ring takes at least
+    // PerDir messages per phase: WarmPhases phases lap every ring.
+    if (Shards == 2) {
+      ASSERT_NE(E.partition().ShardOf[D1], E.partition().ShardOf[D2]);
+    }
+    unsigned WarmPhases = Capacity / PerDir + 1;
+    unsigned Phases = WarmPhases + Measured;
+
+    // Build every phase up front: the workload's own vectors are not the
+    // engine's allocations.
+    engine::TrafficGen G(A.Topo, 11);
+    engine::Workload There = G.bulk(topo::HostH1, topo::HostH2,
+                                    uint64_t(PerDir) * Phases, PerDir);
+    engine::Workload Back = G.bulk(topo::HostH2, topo::HostH1,
+                                   uint64_t(PerDir) * Phases, PerDir);
+    ASSERT_EQ(There.Phases.size(), Phases);
+    for (unsigned P = 0; P != Phases; ++P)
+      There.Phases[P].Injections.insert(There.Phases[P].Injections.end(),
+                                        Back.Phases[P].Injections.begin(),
+                                        Back.Phases[P].Injections.end());
+
+    E.start();
+    uint64_t Before = 0;
+    for (unsigned P = 0; P != Phases; ++P) {
+      if (P == WarmPhases)
+        Before = GAllocs.load(std::memory_order_relaxed);
+      const engine::Phase &Ph = There.Phases[P];
+      E.injectBatch(Ph.Injections.data(), Ph.Injections.size());
+      E.awaitQuiescence();
+    }
+    uint64_t After = GAllocs.load(std::memory_order_relaxed);
+    E.finish();
+
+    EXPECT_EQ(After - Before, 0u)
+        << "shards=" << Shards << ": " << (After - Before)
+        << " allocations over " << Measured << " warm phases of "
+        << 2 * PerDir << " injections";
+    engine::Stats S = E.stats();
+    EXPECT_EQ(S.PacketsInjected, uint64_t(2) * PerDir * Phases);
+    EXPECT_EQ(S.PacketsDelivered, S.PacketsInjected) << "shards=" << Shards;
   }
 }
 
