@@ -6,7 +6,8 @@ the parent first when i is even, the change first when i is odd), one run
 at a time, and judges every end-to-end metric BENCHMARK.json declares:
 
     python3 scripts/ab_e2ebench.py PARENT_DIR CHANGE_DIR \\
-        --workload update_storm --pairs 10 --seconds 40 [--seed N]
+        --workload update_storm --pairs 10 --seconds 40 [--seed N] \\
+        [--trace 1]
     python3 scripts/ab_e2ebench.py --self-test
 
 For each metric it prints both sides' median and quartiles (linear
@@ -23,9 +24,15 @@ the metric's BENCHMARK.json bound, and two verdicts:
                  verdict is "unresolved" unless every change run beats
                  every parent run.
 
-It also prints each side's failed/attempted operations. Exits 1 when a
-run fails or reports an incorrect result, 0 otherwise; the verdicts are
-reported, not enforced.
+With --trace 1 the runs are traced (`run.py --trace 1`) and the table
+covers every per-layer metric instead: both sides' median and quartiles
+and the change's wins, counted in the metric's `better` direction. It
+prints no verdict, because per-layer metrics carry no bound.
+
+It also prints each side's failed/attempted operations and how many of
+its runs reported a correct result. Exits 1 when a run fails or reports
+an incorrect result, 0 otherwise; the verdicts are reported, not
+enforced.
 """
 
 import argparse
@@ -59,15 +66,21 @@ def better(a, b, direction):
     return a > b if direction == "higher" else a < b
 
 
+def count_wins(parent, change, direction):
+    """Pairs in which the change is strictly better than the parent (ties
+    count for neither side)."""
+    if len(parent) != len(change) or not parent:
+        raise ValueError("need equally many parent and change samples")
+    return sum(1 for a, b in zip(change, parent) if better(a, b, direction))
+
+
 def judge(parent, change, direction, bound):
     """Verdicts for one metric from paired samples (parent[i] and
     change[i] ran as pair i)."""
-    if len(parent) != len(change) or not parent:
-        raise ValueError("need equally many parent and change samples")
     p, c = summary(parent), summary(change)
     pairs = len(parent)
-    wins = sum(1 for a, b in zip(change, parent) if better(a, b, direction))
-    losses = sum(1 for a, b in zip(change, parent) if better(b, a, direction))
+    wins = count_wins(parent, change, direction)
+    losses = count_wins(change, parent, direction)
     spread = p["q3"] - p["q1"]
     gain_by = (c["median"] - p["median"] if direction == "higher"
                else p["median"] - c["median"])
@@ -92,21 +105,40 @@ def judge(parent, change, direction, bound):
             "gain": gain, "no_regression": regress}
 
 
-def load_spec(root):
+def load_spec(root, trace):
+    """BENCHMARK.json's per-layer metrics when trace, else its end-to-end
+    ones."""
     with open(os.path.join(root, "BENCHMARK.json")) as f:
-        return json.load(f)["end_to_end"]
+        return json.load(f)["per_layer" if trace else "end_to_end"]
 
 
 def run_once(checkout, args):
     cmd = [sys.executable, os.path.join(checkout, "e2ebench", "run.py"),
            "--workload", args.workload, "--seed", str(args.seed),
-           "--seconds", str(args.seconds), "--trace", "0"]
+           "--seconds", str(args.seconds), "--trace", str(args.trace)]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError("%s exited %d" % (" ".join(cmd), proc.returncode))
     return json.loads(lines[-1])
+
+
+def values(runs, side, name):
+    return [r["metrics"][name]["value"] for r in runs[side]]
+
+
+def fmt(s):
+    return "%.4g [%.4g, %.4g]" % (s["median"], s["q1"], s["q3"])
+
+
+def print_outcomes(runs):
+    for side in ("parent", "change"):
+        att = sum(r["attempted"] for r in runs[side])
+        fail = sum(r["failed"] for r in runs[side])
+        good = sum(1 for r in runs[side] if r["correct"])
+        print("%s: %d/%d operations failed over %d runs, %d correct" %
+              (side, fail, att, len(runs[side]), good))
 
 
 def report(spec, runs):
@@ -119,21 +151,37 @@ def report(spec, runs):
            "wins", "parent IQR", "bound", "gain", "no-regression"))
     for m in spec:
         name = m["name"]
-        pv = [r["metrics"][name]["value"] for r in runs["parent"]]
-        cv = [r["metrics"][name]["value"] for r in runs["change"]]
-        v = judge(pv, cv, m["better"], m["bound"])
+        v = judge(values(runs, "parent", name), values(runs, "change", name),
+                  m["better"], m["bound"])
         verdicts[name] = v
-        fmt = lambda s: "%.4g [%.4g, %.4g]" % (s["median"], s["q1"], s["q3"])
         print("%-17s %-33s %-33s %2d/%-2d %10.4g %5.2f %5s %s" %
               (name, fmt(v["parent"]), fmt(v["change"]), v["wins"],
                v["pairs"], v["parent_spread"], v["bound"],
                "yes" if v["gain"] else "no", v["no_regression"]))
-    for side in ("parent", "change"):
-        att = sum(r["attempted"] for r in runs[side])
-        fail = sum(r["failed"] for r in runs[side])
-        print("%s: %d/%d operations failed over %d runs" %
-              (side, fail, att, len(runs[side])))
+    print_outcomes(runs)
     return verdicts
+
+
+def report_per_layer(spec, runs):
+    """Prints the per-layer table (both sides' median [q1, q3] and the
+    change's wins; no verdict, since per-layer metrics carry no bound)
+    and returns those figures by metric name."""
+    rows = {}
+    width = max(len(m["name"]) for m in spec)
+    print("%-*s %-33s %-33s %5s %s" %
+          (width, "metric", "parent median [q1, q3]",
+           "change median [q1, q3]", "wins", "better"))
+    for m in spec:
+        name = m["name"]
+        pv, cv = values(runs, "parent", name), values(runs, "change", name)
+        row = {"parent": summary(pv), "change": summary(cv),
+               "pairs": len(pv), "wins": count_wins(pv, cv, m["better"])}
+        rows[name] = row
+        print("%-*s %-33s %-33s %2d/%-2d %s" %
+              (width, name, fmt(row["parent"]), fmt(row["change"]),
+               row["wins"], row["pairs"], m["better"]))
+    print_outcomes(runs)
+    return rows
 
 
 def self_test():
@@ -196,6 +244,31 @@ def self_test():
     out = report(spec, runs)
     assert out["throughput_per_s"]["wins"] == 4, out
     assert out["latency_p50_us"]["gain"], out
+
+    # The per-layer table counts wins in each metric's own direction,
+    # ties (a counter that reads 0 on both sides) for neither side, and
+    # carries no verdict.
+    layer_spec = [{"name": "engine.inject_ms", "better": "lower"},
+                  {"name": "engine.batch_occupancy_p50", "better": "higher"},
+                  {"name": "engine.freelist_growth", "better": "lower"}]
+    mk = lambda inj, occ: {"correct": True, "attempted": 5, "failed": 0,
+                           "metrics": {"engine.inject_ms": {"value": inj},
+                                       "engine.batch_occupancy_p50":
+                                           {"value": occ},
+                                       "engine.freelist_growth":
+                                           {"value": 0}}}
+    runs = {"parent": [mk(0.85, 32), mk(0.87, 32), mk(0.84, 31),
+                       mk(0.86, 32)],
+            "change": [mk(0.48, 32), mk(0.50, 31), mk(0.46, 32),
+                       mk(0.90, 32)]}
+    out = report_per_layer(layer_spec, runs)
+    inj = out["engine.inject_ms"]
+    assert inj["wins"] == 3 and inj["pairs"] == 4, inj
+    assert close(inj["parent"]["median"], 0.855), inj
+    assert close(inj["change"]["median"], 0.49), inj
+    assert out["engine.batch_occupancy_p50"]["wins"] == 1, out
+    assert out["engine.freelist_growth"]["wins"] == 0, out
+    assert "gain" not in inj and "no_regression" not in inj, inj
     print("ab_e2ebench self-test: ok")
 
 
@@ -207,6 +280,8 @@ def main():
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=40)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                    help="1: traced runs, compared on the per-layer metrics")
     ap.add_argument("--save", metavar="FILE",
                     help="also write every run's result object as JSON")
     ap.add_argument("--self-test", action="store_true")
@@ -233,9 +308,14 @@ def main():
     if args.save:
         with open(args.save, "w") as f:
             json.dump(runs, f, indent=1)
-    print("workload %s, seed %d, %g s per run, %d pairs" %
-          (args.workload, args.seed, args.seconds, args.pairs))
-    report(load_spec(ROOT), runs)
+    print("workload %s, seed %d, %g s per run, %d pairs%s" %
+          (args.workload, args.seed, args.seconds, args.pairs,
+           ", traced" if args.trace else ""))
+    spec = load_spec(ROOT, args.trace)
+    if args.trace:
+        report_per_layer(spec, runs)
+    else:
+        report(spec, runs)
     if not ok:
         print("a run reported an incorrect result or failed operations")
     return 0 if ok else 1

@@ -143,6 +143,8 @@ struct EngineConfig {
   bool RecordDeliveries = true;
   /// Messages dequeued/enqueued per hot-loop iteration (amortizes the
   /// MPSC queue atomics; 1 degenerates to a message-at-a-time loop).
+  /// Also the injection chunk: injectBatch() hands a shard's ring its
+  /// injections BatchSize at a time.
   unsigned BatchSize = 32;
   /// Record per-hop queue-dwell and batch-occupancy histograms (obs/).
   /// Off by default: when off, the hot loop takes no timestamps and the
@@ -163,11 +165,6 @@ struct EngineConfig {
   /// thread-safe across shards. Empty = no sink, and the hook reduces
   /// to one predictable branch, like the obs layer.
   std::function<void(HostId, const netkat::Packet &)> DeliverySink;
-  /// External stop request (e.g. a signal handler's flag). run() checks
-  /// it between phases and stops injecting early; in-flight work still
-  /// quiesces, so the trace and the audit stay complete for whatever was
-  /// injected. Null = never stop early.
-  const std::atomic<bool> *StopRequested = nullptr;
 };
 
 /// A sharded multi-threaded data-plane engine executing one NES.
@@ -192,24 +189,31 @@ public:
   //
   // An external driver — one thread at a time — can run the engine
   // open-ended instead of handing it a whole Workload: start() spins the
-  // threads up, injectBatch() feeds traffic as it arrives (batched by
-  // ingress shard, one Pending add per shard), awaitQuiescence() blocks
-  // until everything in flight has drained, and finish() joins the
-  // threads and merges results exactly as run() does. start/injectBatch/
-  // awaitQuiescence/finish must all be called from the same thread.
+  // threads up, injectBatch() feeds traffic as it arrives (grouped by
+  // ingress shard and handed over in chunks of BatchSize, one Pending add
+  // per chunk), awaitQuiescence() blocks until everything in flight has
+  // drained, and finish() joins the threads and merges results exactly as
+  // run() does. start/injectBatch/awaitQuiescence/finish must all be
+  // called from the same thread.
 
   /// Spins up the NumShards worker threads. Call once.
   void start();
-  /// Hands \p N injections to their ingress shards. Caller must have
-  /// called start(). Never blocks indefinitely (full rings spill to the
-  /// overflow deque under the overload policy).
+  /// Hands \p N injections to their ingress shards: a shard's ring gets
+  /// each BatchSize-message chunk as soon as it is staged, so the workers
+  /// forward the first chunks while the rest are still being staged, and
+  /// the remainders go out at the end of the call. Caller must have
+  /// called start(). Never blocks indefinitely (under Block, a full ring
+  /// throttles each chunk with a bounded retry, then spills to the
+  /// overflow deque; the shed policies shed instead).
   void injectBatch(const Injection *Inj, size_t N);
   /// Blocks until every in-flight message (packets, echo replies,
   /// update deltas) has drained.
   void awaitQuiescence();
   /// Nonblocking quiescence probe. Monotone for the single external
   /// driver: once true, only the driver's own injectBatch() can make it
-  /// false again.
+  /// false again. Inside an injectBatch() call Pending can touch zero
+  /// between two chunks, but no one sees that: only the injecting thread
+  /// probes, and it is still inside the call.
   bool quiescent() const { return Pending.load() == 0; }
   /// Stops and joins the threads, merges traces/stats. Idempotent; the
   /// engine is read-only afterwards.
@@ -611,10 +615,11 @@ private:
   std::atomic<bool> StopFlag{false};
   std::atomic<int64_t> StartNs{0}; ///< run() start, steady-clock ns
   bool Started = false; ///< start() ran (driver-thread private)
-  /// Injection group buffers, one per ingress shard, reset() per
-  /// injectBatch() call: headers are copy-assigned into slots that keep
-  /// their capacity, so a warm injecting thread allocates nothing per
-  /// injection (private to the injecting thread).
+  /// Injection staging buffers, one per ingress shard, pre-sized to
+  /// BatchSize slots and reset() after each chunk is pushed: headers are
+  /// copy-assigned into slots that keep their capacity, so a warm
+  /// injecting thread allocates nothing per injection however large a
+  /// call is (private to the injecting thread).
   std::vector<MsgBuf> InjBufs;
 
   // Engine-wide counters (cache-line padded, relaxed; see Stats.h). They

@@ -327,7 +327,9 @@ TEST(ClassifierProperty, EngineSteadyStateAllocatesNothing) {
   // slots, the ring cells (built on their first lap, reused
   // after it), the dequeue batch, the egress buffers and the classifier
   // outputs. So once each ring has completed a lap, phases of traffic
-  // allocate nothing anywhere in the process. Trace and delivery
+  // allocate nothing anywhere in the process — not even a phase larger
+  // than any before it, because injectBatch stages at most BatchSize
+  // injections per shard before handing them over. Trace and delivery
   // recording allocate per packet by design, and echo replies are off
   // because each reply still builds a fresh sim::makeWireHeader
   // temporary.
@@ -341,6 +343,7 @@ TEST(ClassifierProperty, EngineSteadyStateAllocatesNothing) {
   constexpr unsigned PerDir = 128;  // injections per direction per phase
   constexpr size_t Capacity = 1024; // small rings lap quickly
   constexpr unsigned Measured = 10;
+  constexpr unsigned BigPhase = 900; // > any warm phase, < Capacity
   for (unsigned Shards : {1u, 2u}) {
     engine::EngineConfig Cfg;
     Cfg.NumShards = Shards;
@@ -370,6 +373,13 @@ TEST(ClassifierProperty, EngineSteadyStateAllocatesNothing) {
       There.Phases[P].Injections.insert(There.Phases[P].Injections.end(),
                                         Back.Phases[P].Injections.begin(),
                                         Back.Phases[P].Injections.end());
+    // One H1->H2 phase bigger than any warm one: it all enters one ring,
+    // which it cannot overflow.
+    engine::Workload Big =
+        G.bulk(topo::HostH1, topo::HostH2, BigPhase, BigPhase);
+    ASSERT_EQ(Big.Phases.size(), 1u);
+    const std::vector<engine::Injection> &BigInj = Big.Phases[0].Injections;
+    uint64_t Total = uint64_t(2) * PerDir * Phases + BigInj.size();
 
     E.start();
     uint64_t Before = 0;
@@ -380,15 +390,19 @@ TEST(ClassifierProperty, EngineSteadyStateAllocatesNothing) {
       E.injectBatch(Ph.Injections.data(), Ph.Injections.size());
       E.awaitQuiescence();
     }
+    E.injectBatch(BigInj.data(), BigInj.size());
+    E.awaitQuiescence();
     uint64_t After = GAllocs.load(std::memory_order_relaxed);
+    // stats() allocates, so it runs only after the count is read.
+    EXPECT_EQ(E.stats().PacketsDelivered, Total) << "shards=" << Shards;
     E.finish();
 
     EXPECT_EQ(After - Before, 0u)
         << "shards=" << Shards << ": " << (After - Before)
         << " allocations over " << Measured << " warm phases of "
-        << 2 * PerDir << " injections";
+        << 2 * PerDir << " injections and one of " << BigInj.size();
     engine::Stats S = E.stats();
-    EXPECT_EQ(S.PacketsInjected, uint64_t(2) * PerDir * Phases);
+    EXPECT_EQ(S.PacketsInjected, Total);
     EXPECT_EQ(S.PacketsDelivered, S.PacketsInjected) << "shards=" << Shards;
   }
 }
