@@ -86,7 +86,6 @@ engine::Stats engineRun(const nes::Nes &N, const topo::Topology &Topo,
   Cfg.NumShards = Shards;
   Cfg.Partition = O.Partition;
   Cfg.RecordTrace = false; // pure throughput
-  Cfg.RecordDeliveries = false;
   Cfg.EchoReplies = false;
   engine::Engine E(N, Topo, Cfg);
   engine::TrafficGen G(Topo, O.Seed);
@@ -106,7 +105,6 @@ engine::LatencyDigest updateLatencyRun(const nes::Nes &N,
   Cfg.NumShards = Shards;
   Cfg.Partition = O.Partition;
   Cfg.RecordTrace = false;
-  Cfg.RecordDeliveries = false;
   engine::Engine E(N, Topo, Cfg);
   engine::TrafficGen G(Topo, O.Seed);
   engine::Workload W = G.pings(1, 8);

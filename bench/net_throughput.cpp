@@ -74,7 +74,6 @@ RowResult runOnce(const nes::Nes &N, const topo::Topology &Topo, bool Udp,
   engine::EngineConfig Cfg;
   Cfg.NumShards = 2;
   Cfg.RecordTrace = Traced;
-  Cfg.RecordDeliveries = Traced;
   Cfg.DeliverySink = Srv.deliverySink();
   engine::Engine E(N, Topo, Cfg);
   Srv.attach(E);

@@ -87,7 +87,6 @@ SoakOut soakRun(const nes::Nes &N, const topo::Topology &Topo,
   Cfg.Partition = O.Partition;
   Cfg.RecordTrace = false; // the soak never materializes the full trace
   Cfg.StreamTrace = WithChecker;
-  Cfg.RecordDeliveries = false;
   Cfg.EchoReplies = false;
 
   engine::Engine E(N, Topo, Cfg);

@@ -68,7 +68,6 @@ engine::EngineConfig pipelineConfig(unsigned Shards, const BenchOpts &O) {
   // exactly the switches whose config or detection behavior the event
   // can change.
   Cfg.RecordTrace = false; // pure latency: no per-hop allocation
-  Cfg.RecordDeliveries = false;
   Cfg.EchoReplies = false; // churn flows are one-way data packets
   return Cfg;
 }

@@ -10,11 +10,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "api/Run.h"
+#include "api/EngineRun.h"
 
-#include "api/StreamCollect.h"
-#include "engine/Engine.h"
-#include "engine/Partition.h"
 #include "net/Poller.h"
 #include "net/Server.h"
 #include "net/Session.h"
@@ -392,67 +389,6 @@ ReplayResult ReplayClient::run() {
 // Backend
 //===----------------------------------------------------------------------===//
 
-LatencyReport toReport(const engine::LatencyDigest &D) {
-  return {D.Samples, D.MeanSec, D.P50Sec, D.P90Sec, D.P99Sec, D.MaxSec};
-}
-
-/// Streaming-check knobs shared by the run backend and serveNet.
-consistency::StreamOptions streamOptions(const RunOptions &O) {
-  consistency::StreamOptions SO;
-  SO.Window = std::max<size_t>(1, O.CheckWindow);
-  // Quiet-horizon retirement must outlast fault-plan delays and deep
-  // shard backlogs (ticket gaps), or healthy chains get cut.
-  SO.QuietHorizon = std::max<uint64_t>(8192, SO.Window / 2);
-  return SO;
-}
-
-/// Engine-side report fields shared by the run backend and serveNet:
-/// counters, latency digests, fault summary, obs trace, network trace.
-void fillEngineSide(RunReport &R, engine::Engine &E, unsigned Shards,
-                    engine::OverloadPolicy Overload, bool FaultsEnabled) {
-  engine::Stats S = E.stats();
-  R.Shards = Shards;
-  R.Batch = S.BatchSize;
-  R.Partition = engine::partitionStrategyName(S.Partition.Strategy);
-  R.EdgeCut = S.Partition.CutWeight;
-  R.EdgeTotal = S.Partition.TotalWeight;
-  R.Overload = engine::overloadPolicyName(Overload);
-  for (const engine::ShardStats &SS : S.Shards)
-    R.ShardDetail.push_back({SS.PacketsProcessed, SS.QueueHighWater,
-                             SS.Dropped, SS.Transitions, SS.Switches,
-                             SS.Shed});
-  R.PacketsInjected = S.PacketsInjected;
-  R.PacketsDelivered = S.PacketsDelivered;
-  R.PacketsDropped = S.PacketsDropped;
-  R.SwitchHops = S.PacketsProcessed;
-  R.EventsDetected = S.EventsDetected;
-  R.ConfigTransitions = S.ConfigTransitions;
-  R.ElapsedSec = S.ElapsedSec;
-  R.UpdateLatency = toReport(S.Transition);
-  R.QueueDwell = toReport(S.QueueDwell);
-  R.BatchOccupancy = toReport(S.BatchOccupancy);
-  R.TraceRecorded = S.TraceRecorded;
-  R.TraceDropped = S.TraceDropped;
-  if (FaultsEnabled) {
-    R.Faults.Enabled = true;
-    R.Faults.Drops = S.FaultDrops;
-    R.Faults.Dups = S.FaultDups;
-    R.Faults.Delays = S.FaultDelays;
-    R.Faults.Shed = S.FaultSheds;
-    R.Faults.Stalls = S.FaultStalls;
-    R.Faults.Storms = S.FaultStorms;
-    R.Faults.DupDelivered = S.DupDelivered;
-    R.Faults.DupDropped = S.DupDropped;
-    faults::FaultLedger L = E.takeFaultLedger();
-    R.Faults.LedgerEntries = L.Records.size();
-    R.Faults.Ledger = L.canonical();
-    R.FaultCtx.ExcusedEntries = std::move(L.ExcusedEntries);
-    R.FaultCtx.DupEntries = std::move(L.DupEntries);
-  }
-  R.ObsTrace = E.takeObsTrace();
-  R.Trace = E.takeTrace();
-}
-
 /// Socket-side report fields from the server's counter snapshot.
 void fillNetSide(NetReport &N, const net::ServerStats &NS, bool Udp) {
   N.Enabled = true;
@@ -494,92 +430,55 @@ public:
 
   Result<RunReport> execute(const Compilation &C, const RunOptions &O,
                             const engine::Workload &W) override {
-    if (O.Shards < 1 || O.Shards > 1024)
-      return Status::error(Code::InvalidArgument,
-                           "shards must be in [1, 1024], got " +
-                               std::to_string(O.Shards));
+    Result<detail::EngineChoice> EC = detail::parseEngineOptions(O);
+    if (!EC.ok())
+      return EC.status();
     if (O.NetConnections < 1 || O.NetConnections > (1u << 16))
       return Status::error(Code::InvalidArgument,
                            "net connections must be in [1, 65536], got " +
                                std::to_string(O.NetConnections));
-    auto Strategy = engine::parsePartitionStrategy(O.Partition);
-    if (!Strategy)
-      return Status::error(Code::InvalidArgument,
-                           "unknown partition strategy '" + O.Partition +
-                               "' (known: modulo, contiguous, refined)");
-    auto Overload = engine::parseOverloadPolicy(O.Overload);
-    if (!Overload)
-      return Status::error(Code::InvalidArgument,
-                           "unknown overload policy '" + O.Overload +
-                               "' (known: block, shed-oldest, shed-newest)");
-    std::optional<faults::Injector> Inj;
-    if (O.Faults && O.Faults->enabled())
-      Inj.emplace(*O.Faults);
 
     net::ServerConfig SC;
     SC.BindAddr = "127.0.0.1";
     SC.Port = 0; // ephemeral; never collides with a parallel test
     SC.EnableUdp = O.NetUdp;
-    SC.Session.Overload = *Overload;
+    SC.Session.Overload = EC->Overload;
     net::Server Srv(SC);
     std::string Err;
     if (!Srv.open(Err))
       return Status::error(Code::RunError, "net backend: " + Err);
 
-    engine::EngineConfig Cfg;
-    Cfg.NumShards = O.Shards;
-    Cfg.BatchSize = O.Batch;
-    Cfg.Partition = *Strategy;
-    Cfg.LatencyHistograms = O.LatencyHistograms;
-    Cfg.TraceEventCapacity = O.TraceCapacity;
-    Cfg.Overload = *Overload;
-    Cfg.DeliverySink = Srv.deliverySink();
-    Cfg.StreamTrace = O.StreamingCheck;
-    Cfg.RecordTrace = !O.StreamingCheck || O.CheckDifferential;
-    if (Inj)
-      Cfg.Faults = &*Inj;
-    engine::Engine E(C.structure(), C.topology(), Cfg);
-    consistency::StreamOptions SO = streamOptions(O);
-    std::optional<detail::StreamCollector> Col;
-    if (O.StreamingCheck)
-      Col.emplace(E, C.structure(), C.topology(), SO);
-    Srv.attach(E);
-    E.start();
-
-    // The replay clients run on their own thread; the server loop owns
-    // this one. The clients request the server's shutdown when the last
-    // connection has said Bye (or the caller's stop flag fires).
-    std::atomic<bool> StopServe{false};
-    ReplayClient Client(W, Srv.port(), O.NetUdp, O.NetConnections,
-                        O.StopFlag);
     ReplayResult RR;
-    std::thread ClientThread([&] {
-      RR = Client.run();
-      StopServe.store(true, std::memory_order_release);
-    });
-    Srv.serve(StopServe);
-    ClientThread.join();
-    E.finish();
-
-    RunReport R;
-    fillEngineSide(R, E, O.Shards, *Overload, Inj.has_value());
-    if (Col) {
-      R.StreamCheck.Enabled = true;
-      R.StreamCheck.Window = SO.Window;
-      R.StreamCheck.Result = Col->finalize(R.TraceDropped);
-      R.StreamCheck.StreamShed = Col->lagShed();
-    }
-    fillNetSide(R.Net, Srv.stats(), O.NetUdp);
-    R.Net.Port = Srv.port();
-    R.Net.Connections = RR.Connected;
-    R.Net.ProtocolErrors += RR.Errors;
-    R.Net.ClientDelivers = RR.Delivers;
-    R.Net.ClientReplies = RR.Replies;
-    R.Net.Rtt = rttReport(RR.RttNs);
-
+    Result<RunReport> R = detail::runEngine(
+        C, O, *EC, Srv.deliverySink(), [&](engine::Engine &E) {
+          Srv.attach(E);
+          E.start();
+          // The replay clients run on their own thread; the server loop
+          // owns this one. The clients request the server's shutdown
+          // when the last connection has said Bye (or the caller's stop
+          // flag fires).
+          std::atomic<bool> StopServe{false};
+          ReplayClient Client(W, Srv.port(), O.NetUdp, O.NetConnections,
+                              O.StopFlag);
+          std::thread ClientThread([&] {
+            RR = Client.run();
+            StopServe.store(true, std::memory_order_release);
+          });
+          Srv.serve(StopServe);
+          ClientThread.join();
+        });
+    if (!R.ok())
+      return R;
     if (RR.TimedOut)
       return Status::error(Code::RunError,
                            "net backend: workload replay timed out");
+    fillNetSide(R->Net, Srv.stats(), O.NetUdp);
+    R->Net.Port = Srv.port();
+    R->Net.Connections = RR.Connected;
+    R->Net.ProtocolErrors += RR.Errors;
+    R->Net.ClientDelivers = RR.Delivers;
+    R->Net.ClientReplies = RR.Replies;
+    R->Net.Rtt = rttReport(RR.RttNs);
     return R;
   }
 };
@@ -595,27 +494,15 @@ std::unique_ptr<Backend> makeNetBackend() {
 
 Result<RunReport> serveNet(const Compilation &C, const RunOptions &O,
                            const ServeNetOptions &S) {
-  if (O.Shards < 1 || O.Shards > 1024)
-    return Status::error(Code::InvalidArgument,
-                         "shards must be in [1, 1024], got " +
-                             std::to_string(O.Shards));
-  auto Strategy = engine::parsePartitionStrategy(O.Partition);
-  if (!Strategy)
-    return Status::error(Code::InvalidArgument,
-                         "unknown partition strategy '" + O.Partition + "'");
-  auto Overload = engine::parseOverloadPolicy(O.Overload);
-  if (!Overload)
-    return Status::error(Code::InvalidArgument,
-                         "unknown overload policy '" + O.Overload + "'");
-  std::optional<faults::Injector> Inj;
-  if (O.Faults && O.Faults->enabled())
-    Inj.emplace(*O.Faults);
+  Result<detail::EngineChoice> EC = detail::parseEngineOptions(O);
+  if (!EC.ok())
+    return EC.status();
 
   net::ServerConfig SC;
   SC.BindAddr = S.BindAddr;
   SC.Port = S.Port;
   SC.EnableUdp = S.Udp;
-  SC.Session.Overload = *Overload;
+  SC.Session.Overload = EC->Overload;
   net::Server Srv(SC);
   std::string Err;
   if (!Srv.open(Err))
@@ -624,93 +511,42 @@ Result<RunReport> serveNet(const Compilation &C, const RunOptions &O,
   if (S.OnListening)
     S.OnListening(Srv.port());
 
-  engine::EngineConfig Cfg;
-  Cfg.NumShards = O.Shards;
-  Cfg.BatchSize = O.Batch;
-  Cfg.Partition = *Strategy;
-  Cfg.LatencyHistograms = O.LatencyHistograms;
-  Cfg.TraceEventCapacity = O.TraceCapacity;
-  Cfg.Overload = *Overload;
-  Cfg.DeliverySink = Srv.deliverySink();
-  Cfg.StreamTrace = O.StreamingCheck;
-  Cfg.RecordTrace = !O.StreamingCheck || O.CheckDifferential;
-  if (Inj)
-    Cfg.Faults = &*Inj;
-  engine::Engine E(C.structure(), C.topology(), Cfg);
-  consistency::StreamOptions SO = streamOptions(O);
-  std::optional<api::detail::StreamCollector> Col;
-  if (O.StreamingCheck)
-    Col.emplace(E, C.structure(), C.topology(), SO);
-  Srv.attach(E);
-  E.start();
-
-  // Without a stop flag the loop runs until the process dies; with one
-  // (net/Signal.h) a SIGINT/SIGTERM drains sessions and the engine
-  // before we get here. A duration composes with the flag: a watchdog
-  // thread trips the serve loop at the deadline or when the caller's
-  // flag fires, whichever is first — the soak harness's bounded-run
-  // mode.
-  static const std::atomic<bool> Never{false};
-  const std::atomic<bool> &UserStop = O.StopFlag ? *O.StopFlag : Never;
-  if (S.DurationSec > 0) {
-    std::atomic<bool> StopServe{false};
-    std::thread Watchdog([&] {
-      auto Deadline = std::chrono::steady_clock::now() +
-                      std::chrono::seconds(S.DurationSec);
-      while (std::chrono::steady_clock::now() < Deadline &&
-             !UserStop.load(std::memory_order_relaxed))
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      StopServe.store(true, std::memory_order_release);
-    });
-    Srv.serve(StopServe);
-    Watchdog.join();
-  } else {
-    Srv.serve(UserStop);
-  }
-  E.finish();
-
-  RunReport R;
-  R.Backend = "net";
-  R.Seed = O.Seed;
-  fillEngineSide(R, E, O.Shards, *Overload, Inj.has_value());
-  if (Col) {
-    R.StreamCheck.Enabled = true;
-    R.StreamCheck.Window = SO.Window;
-    R.StreamCheck.Result = Col->finalize(R.TraceDropped);
-    R.StreamCheck.StreamShed = Col->lagShed();
-  }
-  fillNetSide(R.Net, Srv.stats(), S.Udp);
-  R.Net.Port = Srv.port();
-  R.Net.Connections = R.Net.Accepted;
-
-  DropAudit &A = R.Audit;
-  A.Injected = R.PacketsInjected;
-  A.Delivered = R.PacketsDelivered;
-  A.Dropped = R.PacketsDropped;
-  uint64_t EffDelivered = A.Delivered > R.Faults.DupDelivered
-                              ? A.Delivered - R.Faults.DupDelivered
-                              : 0;
-  uint64_t EffDropped =
-      A.Dropped > R.Faults.DupDropped ? A.Dropped - R.Faults.DupDropped : 0;
-  uint64_t Accounted = EffDelivered + EffDropped;
-  A.SilentLoss = A.Injected > Accounted ? A.Injected - Accounted : 0;
-  A.Ok = A.SilentLoss == 0;
-
-  // Streaming-only runs keep no merged trace (the batch replay would
-  // pass vacuously); in differential mode both run and are compared.
-  if (O.CheckConsistency && (!R.StreamCheck.Enabled || O.CheckDifferential)) {
-    R.Checked = true;
-    R.Consistency = consistency::checkAgainstNes(
-        R.Trace, C.topology(), C.structure(),
-        R.Faults.Enabled ? &R.FaultCtx : nullptr);
-    if (R.StreamCheck.Enabled) {
-      R.StreamCheck.DifferentialRan = true;
-      if (R.StreamCheck.Result.Verdict !=
-          consistency::StreamVerdict::Inconclusive)
-        R.StreamCheck.DifferentialMatched =
-            R.StreamCheck.Result.ok() == R.Consistency.Correct;
-    }
-  }
+  Result<RunReport> R = detail::runEngine(
+      C, O, *EC, Srv.deliverySink(), [&](engine::Engine &E) {
+        Srv.attach(E);
+        E.start();
+        // Without a stop flag the loop runs until the process dies; with
+        // one (net/Signal.h) a SIGINT/SIGTERM drains sessions and the
+        // engine before we get here. A duration composes with the flag:
+        // a watchdog thread trips the serve loop at the deadline or when
+        // the caller's flag fires, whichever is first — the soak
+        // harness's bounded-run mode.
+        static const std::atomic<bool> Never{false};
+        const std::atomic<bool> &UserStop = O.StopFlag ? *O.StopFlag : Never;
+        if (S.DurationSec == 0) {
+          Srv.serve(UserStop);
+          return;
+        }
+        std::atomic<bool> StopServe{false};
+        std::thread Watchdog([&] {
+          auto Deadline = std::chrono::steady_clock::now() +
+                          std::chrono::seconds(S.DurationSec);
+          while (std::chrono::steady_clock::now() < Deadline &&
+                 !UserStop.load(std::memory_order_relaxed))
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          StopServe.store(true, std::memory_order_release);
+        });
+        Srv.serve(StopServe);
+        Watchdog.join();
+      });
+  if (!R.ok())
+    return R;
+  R->Backend = "net";
+  R->Seed = O.Seed;
+  fillNetSide(R->Net, Srv.stats(), S.Udp);
+  R->Net.Port = Srv.port();
+  R->Net.Connections = R->Net.Accepted;
+  detail::auditAndCheck(*R, C, O);
   return R;
 }
 

@@ -2,6 +2,7 @@
 
 #include "api/Run.h"
 
+#include "api/EngineRun.h"
 #include "api/Json.h"
 
 #include <algorithm>
@@ -131,23 +132,26 @@ Result<RunReport> Run::execute(const RunOptions &O) {
   Report->Backend = B->name();
   Report->Seed = O.Seed;
   Report->Workload = O.Workload;
+  detail::auditAndCheck(*Report, *C, O);
+  return Report;
+}
 
+void detail::auditAndCheck(RunReport &R, const Compilation &C,
+                           const RunOptions &O) {
   // Packet-conservation audit (backend-agnostic): every injection must
   // end in a delivery or a counted drop. Multicast can only add terminal
   // outcomes, so injected > delivered + dropped means silent loss.
   // Injected duplicates add terminal outcomes that no injection owns, so
   // their deliveries/drops are discounted before the comparison.
-  DropAudit &A = Report->Audit;
-  A.Injected = Report->PacketsInjected;
-  A.Delivered = Report->PacketsDelivered;
-  A.Dropped = Report->PacketsDropped;
-  uint64_t EffDelivered =
-      A.Delivered > Report->Faults.DupDelivered
-          ? A.Delivered - Report->Faults.DupDelivered
-          : 0;
-  uint64_t EffDropped = A.Dropped > Report->Faults.DupDropped
-                            ? A.Dropped - Report->Faults.DupDropped
-                            : 0;
+  DropAudit &A = R.Audit;
+  A.Injected = R.PacketsInjected;
+  A.Delivered = R.PacketsDelivered;
+  A.Dropped = R.PacketsDropped;
+  uint64_t EffDelivered = A.Delivered > R.Faults.DupDelivered
+                              ? A.Delivered - R.Faults.DupDelivered
+                              : 0;
+  uint64_t EffDropped =
+      A.Dropped > R.Faults.DupDropped ? A.Dropped - R.Faults.DupDropped : 0;
   uint64_t Accounted = EffDelivered + EffDropped;
   A.SilentLoss = A.Injected > Accounted ? A.Injected - Accounted : 0;
   A.Ok = A.SilentLoss == 0;
@@ -156,28 +160,22 @@ Result<RunReport> Run::execute(const RunOptions &O) {
   // trace through the batch checker would pass vacuously, so the batch
   // replay runs only when a trace was actually recorded — always
   // without streaming, and in differential mode alongside it.
-  bool BatchCheck = O.CheckConsistency &&
-                    (!Report->StreamCheck.Enabled || O.CheckDifferential);
-  if (BatchCheck) {
-    // The excusal context matters beyond fault plans: a shed overload
-    // policy ledgers the chains it retired under plain pressure too.
-    bool HasCtx = Report->Faults.Enabled ||
-                  !Report->FaultCtx.ExcusedEntries.empty() ||
-                  !Report->FaultCtx.DupEntries.empty();
-    Report->Checked = true;
-    Report->Consistency = consistency::checkAgainstNes(
-        Report->Trace, Topo, C->structure(),
-        HasCtx ? &Report->FaultCtx : nullptr);
-  }
-  if (Report->StreamCheck.Enabled && Report->Checked) {
-    StreamCheckReport &SC = Report->StreamCheck;
+  if (!O.CheckConsistency || (R.StreamCheck.Enabled && !O.CheckDifferential))
+    return;
+  // The excusal context matters beyond fault plans: a shed overload
+  // policy ledgers the chains it retired under plain pressure too.
+  bool HasCtx = R.Faults.Enabled || !R.FaultCtx.empty();
+  R.Checked = true;
+  R.Consistency = consistency::checkAgainstNes(
+      R.Trace, C.topology(), C.structure(), HasCtx ? &R.FaultCtx : nullptr);
+  if (R.StreamCheck.Enabled) {
+    StreamCheckReport &SC = R.StreamCheck;
     SC.DifferentialRan = true;
     // An inconclusive streaming verdict makes no pass/fail claim, so
     // there is nothing to disagree with.
     if (SC.Result.Verdict != consistency::StreamVerdict::Inconclusive)
-      SC.DifferentialMatched = SC.Result.ok() == Report->Consistency.Correct;
+      SC.DifferentialMatched = SC.Result.ok() == R.Consistency.Correct;
   }
-  return Report;
 }
 
 Result<RunReport> api::run(const Compilation &C,

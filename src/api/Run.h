@@ -191,8 +191,9 @@ public:
   /// Engine backend: per-shard obs trace-ring capacity in events
   /// (obs/TraceRing.h); 0 (default) disables event tracing.
   size_t TraceCapacity = 0;
-  /// Engine backend: periodic metrics-sampler interval in milliseconds;
-  /// 0 (default) disables the sampler (obs/Sampler.h).
+  /// Engine-based backends and serveNet: periodic metrics-sampler
+  /// interval in milliseconds; 0 (default) disables the sampler
+  /// (obs/Sampler.h).
   unsigned MetricsIntervalMs = 0;
   /// Where sampler JSON-lines go: a file path, or "" for stderr.
   std::string MetricsPath;

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <tuple>
 #include <unordered_map>
 
 using namespace eventnet;
@@ -211,11 +212,8 @@ int64_t Engine::logEntry(Shard &S, const Packet &Lp, int64_t Parent,
   if (!C.RecordTrace && !C.StreamTrace)
     return -1;
   uint64_t Ticket = Tickets.fetch_add(1);
-  if (C.RecordTrace)
-    S.Trace.push_back({Ticket, Parent, Lp, IsDelivery, Tag});
-  if (C.StreamTrace)
-    S.StreamPending.push_back(
-        {StreamItem::Entry, Ticket, Parent, Lp, IsDelivery, false});
+  S.Log.push_back({StreamItem::Entry, Ticket, Parent, Lp, IsDelivery,
+                   /*IsDup=*/false, Tag});
   return static_cast<int64_t>(Ticket);
 }
 
@@ -237,12 +235,17 @@ uint64_t Engine::drainTraceStream(std::vector<StreamItem> &Out) {
     }
     {
       // Shed excusals are written by arbitrary producer threads under
-      // the overflow lock; surface them as Excuse items.
+      // the overflow lock; hand on the new ones as Excuse items, keeping
+      // them for finish()'s merge when RecordTrace asks for it.
       std::lock_guard<std::mutex> Lock(S->OverflowMu);
-      for (int64_t T : S->ShedStream)
-        Out.push_back({StreamItem::Excuse, static_cast<uint64_t>(T), -1,
-                       Packet(), false, false});
-      S->ShedStream.clear();
+      for (size_t I = S->ShedHanded; I != S->ShedExcuses.size(); ++I)
+        Out.push_back({StreamItem::Excuse,
+                       static_cast<uint64_t>(S->ShedExcuses[I]), -1,
+                       Packet(), false, false, 0});
+      if (C.RecordTrace)
+        S->ShedHanded = S->ShedExcuses.size();
+      else
+        S->ShedExcuses.clear();
     }
   }
   return W == UINT64_MAX ? 0 : W;
@@ -334,11 +337,8 @@ void Engine::shedLocked(Shard &Dst, Msg &M) {
     if (M.P.FromDup)
       DupDropped.add();
     // The hop's egress entry is now a chain leaf; excuse it.
-    if (M.P.Parent >= 0) {
-      Dst.ShedTickets.push_back(M.P.Parent);
-      if (C.StreamTrace)
-        Dst.ShedStream.push_back(M.P.Parent);
-    }
+    if (M.P.Parent >= 0)
+      Dst.ShedExcuses.push_back(M.P.Parent);
   } else {
     Dst.Injected.add();
   }
@@ -391,8 +391,6 @@ void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
     if (P.FromDup)
       DupDelivered.add();
     HostId H = Eg->Host;
-    if (C.RecordDeliveries)
-      S.Deliveries.push_back({H, Out});
     if (C.DeliverySink)
       C.DeliverySink(H, Out);
 
@@ -434,16 +432,12 @@ void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
 
   if (FA == faults::Action::Drop) {
     // The egress occurrence never happens: the chain ends at P.Parent,
-    // which the ledger excuses for the checker.
+    // which the log excuses for the checker.
     S.FaultRecs.push_back(
         faults::Injector::recordAt(faults::FaultKind::Drop, At.Sw, At.Pt, Out));
-    if (P.Parent >= 0) {
-      S.ExcusedTickets.push_back(P.Parent);
-      if (C.StreamTrace)
-        S.StreamPending.push_back({StreamItem::Excuse,
-                                   static_cast<uint64_t>(P.Parent), -1,
-                                   Packet(), false, false});
-    }
+    if (P.Parent >= 0)
+      S.Log.push_back({StreamItem::Excuse, static_cast<uint64_t>(P.Parent),
+                       -1, Packet(), false, false, 0});
     S.Dropped.add();
     FaultDrops.add();
     if (P.FromDup)
@@ -494,14 +488,11 @@ void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
 
   if (FA == faults::Action::Dup) {
     // Second copy with its own egress entry (the trace stays a tree);
-    // the ledger marks that entry so the checker prunes the duplicate
+    // the log marks that entry so the checker prunes the duplicate
     // subtree before verifying Definition 6.
     int64_t DupTicket = logEntry(S, Out, P.Parent, false, P.Tag);
-    if (DupTicket >= 0) {
-      S.DupTickets.push_back(DupTicket);
-      if (C.StreamTrace)
-        S.StreamPending.back().IsDup = true; // the entry just logged
-    }
+    if (DupTicket >= 0)
+      S.Log.back().IsDup = true; // the entry just logged
     FillHop(S.OutBufs[DstShard].next(), DupTicket, /*FromDup=*/true);
     S.FaultRecs.push_back(
         faults::Injector::recordAt(faults::FaultKind::Dup, At.Sw, At.Pt, Out));
@@ -937,13 +928,13 @@ void Engine::workerLoop(unsigned ShardIdx) {
   uint64_t Spins = 0;
   uint64_t SinceReclaim = 0;
   unsigned SleepUs = 1;
-  // Streaming sink: publish this iteration's trace entries, then promise
+  // Streaming sink: hand on this iteration's log records, then promise
   // a watermark. The order is load-bearing — the flush precedes the
   // store with no logging in between, and any future logEntry on this
   // thread draws a ticket >= the stored value, so "no entry below the
   // watermark is still unpublished by this shard" holds by construction.
   auto FlushStream = [&] {
-    if (!S.StreamPending.empty()) {
+    if (S.Log.size() != S.LogHanded) {
       std::lock_guard<std::mutex> Lock(S.StreamMu);
       // Bounded hand-off: a lagging collector must cost shed entries
       // (counted, verdict-degrading), never memory that grows with the
@@ -953,13 +944,20 @@ void Engine::workerLoop(unsigned ShardIdx) {
       size_t Room = S.StreamBuf.size() < C.StreamBufCap
                         ? C.StreamBufCap - S.StreamBuf.size()
                         : 0;
-      size_t Take = std::min(Room, S.StreamPending.size());
-      S.StreamBuf.insert(
-          S.StreamBuf.end(), std::make_move_iterator(S.StreamPending.begin()),
-          std::make_move_iterator(S.StreamPending.begin() +
-                                  static_cast<ptrdiff_t>(Take)));
-      S.StreamLagShed += S.StreamPending.size() - Take;
-      S.StreamPending.clear();
+      size_t New = S.Log.size() - S.LogHanded;
+      size_t Take = std::min(Room, New);
+      auto First = S.Log.begin() + static_cast<ptrdiff_t>(S.LogHanded);
+      auto Last = First + static_cast<ptrdiff_t>(Take);
+      if (C.RecordTrace) {
+        // finish() merges the whole log: hand on copies.
+        S.StreamBuf.insert(S.StreamBuf.end(), First, Last);
+        S.LogHanded = S.Log.size();
+      } else {
+        S.StreamBuf.insert(S.StreamBuf.end(), std::make_move_iterator(First),
+                           std::make_move_iterator(Last));
+        S.Log.clear();
+      }
+      S.StreamLagShed += New - Take;
     }
     uint64_t T = Tickets.load(std::memory_order_relaxed);
     if (T != S.StreamWatermark.load(std::memory_order_relaxed))
@@ -1066,6 +1064,57 @@ void Engine::awaitQuiescence() {
     std::this_thread::yield();
 }
 
+void Engine::mergeTrace() {
+  // Global trace: sort the shards' log records by ticket, an entry ahead
+  // of the excusals naming it. Per-switch order equals each owner's
+  // processing order (a switch's entries all come from one thread,
+  // ticketed in program order) and a parent's ticket precedes its
+  // children's (children are ticketed after the parent's enqueue), so the
+  // merged log is a legal interleaving for the happens-before derivation.
+  std::vector<const StreamItem *> All;
+  for (auto &S : Shards)
+    for (const StreamItem &It : S->Log)
+      All.push_back(&It);
+  std::sort(All.begin(), All.end(),
+            [](const StreamItem *A, const StreamItem *B) {
+              return std::tie(A->Ticket, A->K) < std::tie(B->Ticket, B->K);
+            });
+
+  // Excusals and duplicates become merged-trace indices for the checker
+  // (run-local annotations, unlike the content-addressed records).
+  std::unordered_map<uint64_t, int> IndexOf;
+  IndexOf.reserve(All.size());
+  std::vector<int> &Excused = Ledger.ExcusedEntries;
+  for (const StreamItem *It : All) {
+    if (It->K == StreamItem::Excuse) {
+      Excused.push_back(IndexOf.at(It->Ticket));
+      continue;
+    }
+    consistency::TraceEntry E;
+    E.Lp = It->Lp;
+    E.IsDelivery = It->IsDelivery;
+    E.Parent =
+        It->Parent < 0 ? -1 : IndexOf.at(static_cast<uint64_t>(It->Parent));
+    int At = MergedTrace.append(std::move(E));
+    IndexOf.emplace(It->Ticket, At);
+    MergedTags.push_back(It->Tag);
+    if (It->IsDup)
+      Ledger.DupEntries.push_back(At);
+  }
+  // Shed excusals are ledgered even without a fault plan: a shed overload
+  // policy retires chains under plain pressure too. Every producer is
+  // done (the workers joined; the injector is this thread), but a live
+  // checker's collector is finalized only after finish() and may still
+  // be draining, so read under its lock.
+  for (auto &S : Shards) {
+    std::lock_guard<std::mutex> Lock(S->OverflowMu);
+    for (int64_t T : S->ShedExcuses)
+      Excused.push_back(IndexOf.at(static_cast<uint64_t>(T)));
+  }
+  std::sort(Excused.begin(), Excused.end());
+  Excused.erase(std::unique(Excused.begin(), Excused.end()), Excused.end());
+}
+
 void Engine::finish() {
   if (!Started || Ran.load())
     return;
@@ -1091,70 +1140,18 @@ void Engine::run(const Workload &W) {
 }
 
 void Engine::mergeResults() {
-  // Global trace: sort shard-local records by ticket. Per-switch order
-  // equals each owner's processing order (a switch's entries all come
-  // from one thread, ticketed in program order) and a parent's ticket
-  // precedes its children's (children are ticketed after the parent's
-  // enqueue), so the merged log is a legal interleaving for the
-  // happens-before derivation.
-  std::vector<const TraceRec *> All;
-  for (auto &S : Shards)
-    for (const TraceRec &R : S->Trace)
-      All.push_back(&R);
-  std::sort(All.begin(), All.end(),
-            [](const TraceRec *A, const TraceRec *B) {
-              return A->Ticket < B->Ticket;
-            });
-
-  std::unordered_map<uint64_t, int> IndexOf;
-  IndexOf.reserve(All.size());
-  for (const TraceRec *R : All) {
-    consistency::TraceEntry E;
-    E.Lp = R->Lp;
-    E.IsDelivery = R->IsDelivery;
-    E.Parent =
-        R->Parent < 0 ? -1 : IndexOf.at(static_cast<uint64_t>(R->Parent));
-    IndexOf.emplace(R->Ticket, MergedTrace.append(std::move(E)));
-    MergedTags.push_back(R->Tag);
-  }
-
-  for (auto &S : Shards)
-    MergedDeliveries.insert(MergedDeliveries.end(), S->Deliveries.begin(),
-                            S->Deliveries.end());
-
-  // Fault ledger: collect the per-shard records (owner-written, read
-  // post-join) and remap the excused/duplicate tickets into merged
-  // trace indices for the checker. The record multiset is content-
-  // addressed, so its canonical form reproduces run to run; the index
-  // lists are run-local annotations. Shed tickets are ledgered even
-  // without a fault plan: a shed overload policy retires chains under
-  // plain pressure too, and the checker needs their excusal context
-  // either way.
-  for (auto &S : Shards) {
-    if (C.Faults)
+  // Fault ledger records (owner-written, read post-join). The record
+  // multiset is content-addressed, so its canonical form reproduces run
+  // to run.
+  if (C.Faults)
+    for (auto &S : Shards)
       Ledger.Records.insert(Ledger.Records.end(), S->FaultRecs.begin(),
                             S->FaultRecs.end());
-    // The index lists translate tickets into merged-trace positions;
-    // without a merged trace (stream-only mode) there is nothing to
-    // translate into — the stream items carried the excusals already.
-    if (!C.RecordTrace)
-      continue;
-    if (C.Faults) {
-      for (int64_t T : S->ExcusedTickets)
-        Ledger.ExcusedEntries.push_back(
-            IndexOf.at(static_cast<uint64_t>(T)));
-      for (int64_t T : S->DupTickets)
-        Ledger.DupEntries.push_back(IndexOf.at(static_cast<uint64_t>(T)));
-    }
-    for (int64_t T : S->ShedTickets)
-      Ledger.ExcusedEntries.push_back(IndexOf.at(static_cast<uint64_t>(T)));
-  }
-  auto Uniq = [](std::vector<int> &V) {
-    std::sort(V.begin(), V.end());
-    V.erase(std::unique(V.begin(), V.end()), V.end());
-  };
-  Uniq(Ledger.ExcusedEntries);
-  Uniq(Ledger.DupEntries);
+  // Without RecordTrace the logs were handed on and cleared as the run
+  // went (stream-only mode): there is no trace to merge, and the stream
+  // items carried the excusals already.
+  if (C.RecordTrace)
+    mergeTrace();
 
   // Obs timeline: concatenate the per-shard rings (post-join, so every
   // slot write happens-before this read) and sort into one time base.

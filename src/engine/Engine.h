@@ -34,9 +34,11 @@
 ///    monitors) are RCU-style lock-free, and old views are retired
 ///    through an epoch domain (engine/Rcu.h).
 ///
-/// Shard-local trace entries carry tickets from a global atomic counter;
-/// run() merges them into a consistency::NetworkTrace whose log order is
-/// a legal global interleaving (per-switch order is the owner's real
+/// Each shard records every occurrence once, in one trace log of entries
+/// (ticketed from a global atomic counter) and excusals of ledgered
+/// drops. The live stream hand-off and the merge at finish() read the
+/// same records; the merged consistency::NetworkTrace's log order is a
+/// legal global interleaving (per-switch order is the owner's real
 /// processing order; a parent's ticket always precedes its children's),
 /// so the Definition 6 checker applies to concurrent executions exactly
 /// as it does to the sequential Machine and Simulation.
@@ -117,16 +119,17 @@ struct EngineConfig {
   bool CtrlBroadcast = false;
   /// Hosts answer echo requests in-engine (KindRequest -> KindReply).
   bool EchoReplies = true;
-  /// Record the network trace for the consistency checkers. Turn off
-  /// for pure-throughput benchmarking.
+  /// Keep each shard's whole trace log for finish() to merge into trace()
+  /// for the consistency checkers. Turn off for pure-throughput
+  /// benchmarking.
   bool RecordTrace = true;
-  /// Stream trace entries to an external collector during the run
-  /// (drainTraceStream) instead of — or, for differential testing, in
-  /// addition to — accumulating the merged trace. The streaming
-  /// Definition 6 checker rides this: verification memory stays
-  /// O(window) no matter how long the run is. With RecordTrace off and
-  /// StreamTrace on, mergeResults keeps no trace and the fault ledger's
-  /// merged-trace indices stay empty (stream items carry the excusals).
+  /// Hand each shard's new log records to an external collector during
+  /// the run (drainTraceStream) instead of — or, for differential
+  /// testing, in addition to — keeping the log for the merged trace. The
+  /// streaming Definition 6 checker rides this. With RecordTrace off a
+  /// log holds only records not yet handed over, so verification memory
+  /// stays O(window) however long the run is, and finish() merges no
+  /// trace (the stream items carry the excusals).
   bool StreamTrace = false;
   /// Per-shard cap on buffered stream items awaiting the collector
   /// (StreamBuf). A collector that falls behind the data path (e.g. the
@@ -137,9 +140,9 @@ struct EngineConfig {
   /// bounded, the verdict degrades honestly, and the data path never
   /// blocks on verification.
   size_t StreamBufCap = 1 << 16;
-  /// Record every host delivery in deliveries(). Turn off (with
-  /// RecordTrace) for pure-throughput benchmarking: recording
-  /// necessarily allocates per packet.
+  /// No effect: the engine keeps no delivery log. The next benchmark
+  /// change deletes it with its assignments in e2ebench/UpdateStorm.cpp
+  /// and e2ebench/Serve.cpp.
   bool RecordDeliveries = true;
   /// Messages dequeued/enqueued per hot-loop iteration (amortizes the
   /// MPSC queue atomics; 1 degenerates to a message-at-a-time loop).
@@ -219,10 +222,11 @@ public:
   /// engine is read-only afterwards.
   void finish();
 
-  /// One element of the streaming trace feed (EngineConfig::StreamTrace):
-  /// either a trace entry or an excusal (a ledgered drop/shed whose
-  /// chain may legitimately end at Ticket). Parent is the producing
-  /// occurrence's ticket, -1 for a root.
+  /// One record of a shard's trace log and of the streaming trace feed:
+  /// either a trace entry or an excusal (a ledgered drop/shed whose chain
+  /// may legitimately end at Ticket). Parent is the producing
+  /// occurrence's ticket, -1 for a root; Tag is the packet's configuration
+  /// tag; IsDup marks a fault-plan duplicate's egress entry.
   struct StreamItem {
     enum Kind : uint8_t { Entry, Excuse } K = Entry;
     uint64_t Ticket = 0;
@@ -230,6 +234,7 @@ public:
     netkat::Packet Lp;
     bool IsDelivery = false;
     bool IsDup = false;
+    nes::SetId Tag = 0;
   };
 
   /// Drains every shard's buffered stream items into \p Out (appended;
@@ -278,11 +283,6 @@ public:
 
   /// Moves the ledger out (for report assembly on a dying engine).
   faults::FaultLedger takeFaultLedger() { return std::move(Ledger); }
-
-  /// Packets handed to hosts, in per-shard processing order (merged).
-  const std::vector<std::pair<HostId, netkat::Packet>> &deliveries() const {
-    return MergedDeliveries;
-  }
 
   /// The merged obs event timeline, sorted by timestamp (valid after
   /// run; empty unless EngineConfig::TraceEventCapacity was set). Moves
@@ -375,14 +375,6 @@ private:
     DenseBitSet Ctx;
   };
 
-  struct TraceRec {
-    uint64_t Ticket = 0;
-    int64_t Parent = -1;
-    netkat::Packet Lp;
-    bool IsDelivery = false;
-    nes::SetId Tag = 0;
-  };
-
   /// The per-shard latency-histogram pair (heap-allocated only when
   /// EngineConfig::LatencyHistograms is on; ~15 KB each).
   struct ShardLatency {
@@ -417,8 +409,6 @@ private:
     std::mutex CtrlMu;
     std::deque<Delta> CtrlLane;
     std::atomic<uint32_t> CtrlLaneSize{0};
-    std::vector<TraceRec> Trace;
-    std::vector<std::pair<HostId, netkat::Packet>> Deliveries;
     RetireList<SwitchView> Retired;
     std::thread Thread;
     PacketBuf ClsOut;            ///< recycled classifier outputs
@@ -465,20 +455,23 @@ private:
     /// Ledgered faults: link drops/dups/delays, plus one Storm record
     /// per event this shard detected under a storm plan.
     std::vector<faults::FaultRecord> FaultRecs;
-    std::vector<int64_t> ExcusedTickets; ///< parents of fault-dropped hops
-    std::vector<int64_t> DupTickets;     ///< duplicate egress tickets
-    std::vector<int64_t> ShedTickets;    ///< parents of shed msgs (OverflowMu)
-    /// Streaming trace sink (EngineConfig::StreamTrace). StreamPending
-    /// is owner-private; the owner flushes it to StreamBuf (StreamMu)
-    /// once per loop iteration and then publishes StreamWatermark — a
-    /// promise that this shard will never again log a ticket below it.
-    /// ShedStream mirrors ShedTickets for producers (OverflowMu).
-    std::vector<StreamItem> StreamPending;
+    /// The owner-private trace log: entries in ticket order, fault-drop
+    /// excusals between them. Under StreamTrace the owner hands the
+    /// records past LogHanded to StreamBuf (StreamMu) once per loop
+    /// iteration — copying them if RecordTrace keeps the log for finish(),
+    /// else moving them and clearing the log — then publishes
+    /// StreamWatermark: a promise that this shard will never again log a
+    /// ticket below it.
+    std::vector<StreamItem> Log;
+    size_t LogHanded = 0;
+    /// Shed excusals (parents of messages shed from this ring), written by
+    /// producers under OverflowMu and handed on past ShedHanded likewise.
+    std::vector<int64_t> ShedExcuses;
+    size_t ShedHanded = 0;
     std::mutex StreamMu;
     std::vector<StreamItem> StreamBuf;
     uint64_t StreamLagShed = 0; ///< items shed at StreamBufCap (StreamMu)
     std::atomic<uint64_t> StreamWatermark{0};
-    std::vector<int64_t> ShedStream;
     /// Observability (obs/): both null when the corresponding
     /// EngineConfig knob is off — recording calls then cost one
     /// predictable null test and the hot loop takes no timestamps.
@@ -565,6 +558,8 @@ private:
   int64_t logEntry(Shard &S, const netkat::Packet &Lp, int64_t Parent,
                    bool IsDelivery, nes::SetId Tag);
   void mergeResults();
+  /// Merges the logs into trace(), traceTags() and the ledger's indices.
+  void mergeTrace();
   /// The partition summary and per-shard counters shared by stats() and
   /// mergeResults() (one source of truth for both report shapes).
   void fillPartitionStats(Stats &S) const;
@@ -652,7 +647,6 @@ private:
   // Merged results (valid after run()).
   consistency::NetworkTrace MergedTrace;
   std::vector<nes::SetId> MergedTags;
-  std::vector<std::pair<HostId, netkat::Packet>> MergedDeliveries;
   std::map<std::pair<SwitchId, nes::EventId>, double> MergedLearnTimes;
   std::vector<int64_t> TransitionNs; ///< detect->learn samples, ns
   std::vector<obs::TraceEvent> MergedObsTrace;

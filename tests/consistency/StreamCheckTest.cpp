@@ -22,6 +22,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_map>
+
 using namespace eventnet;
 using namespace eventnet::engine;
 using consistency::StreamOptions;
@@ -220,6 +223,113 @@ INSTANTIATE_TEST_SUITE_P(
       return N;
     });
 
+namespace {
+
+/// Each engine shard keeps one trace log with two consumers: the stream
+/// hand-off and the merge at finish(). Runs \p S with both on, drains
+/// every stream item after the run, and checks that the two saw the same
+/// records: entries one to one with trace() and traceTags(), duplicate
+/// marks with the ledger's DupEntries, excusals with its ExcusedEntries.
+void expectLogConsumersAgree(const Scenario &S, unsigned Shards,
+                             faults::Injector *Inj, OverloadPolicy Policy,
+                             const std::string &Tag) {
+  EngineConfig Cfg;
+  Cfg.NumShards = Shards;
+  Cfg.Overload = Policy;
+  Cfg.Faults = Inj;
+  Cfg.RecordTrace = true;
+  Cfg.StreamTrace = true;
+  Engine E(S.C->structure(), S.A.Topo, Cfg);
+  E.run(S.W);
+  std::vector<Engine::StreamItem> Items;
+  E.drainTraceStream(Items);
+  ASSERT_EQ(E.streamLagShed(), 0u) << Tag;
+
+  std::vector<const Engine::StreamItem *> Entries;
+  std::vector<uint64_t> Excusals;
+  for (const Engine::StreamItem &It : Items) {
+    if (It.K == Engine::StreamItem::Entry)
+      Entries.push_back(&It);
+    else
+      Excusals.push_back(It.Ticket);
+  }
+  std::sort(Entries.begin(), Entries.end(),
+            [](const Engine::StreamItem *A, const Engine::StreamItem *B) {
+              return A->Ticket < B->Ticket;
+            });
+  const std::vector<consistency::TraceEntry> &Es = E.trace().entries();
+  ASSERT_EQ(Entries.size(), Es.size()) << Tag;
+  ASSERT_EQ(E.traceTags().size(), Es.size()) << Tag;
+
+  std::unordered_map<uint64_t, int> IndexOf;
+  std::vector<int> DupAt;
+  for (size_t I = 0; I != Es.size(); ++I) {
+    const Engine::StreamItem &It = *Entries[I];
+    int Parent = -1;
+    if (It.Parent >= 0) {
+      auto P = IndexOf.find(static_cast<uint64_t>(It.Parent));
+      ASSERT_NE(P, IndexOf.end()) << Tag << ": entry " << I << "'s parent";
+      Parent = P->second;
+    }
+    EXPECT_TRUE(It.Lp == Es[I].Lp) << Tag << ": entry " << I;
+    EXPECT_EQ(It.IsDelivery, Es[I].IsDelivery) << Tag << ": entry " << I;
+    EXPECT_EQ(Parent, Es[I].Parent) << Tag << ": entry " << I;
+    EXPECT_EQ(It.Tag, E.traceTags()[I]) << Tag << ": entry " << I;
+    if (It.IsDup)
+      DupAt.push_back(static_cast<int>(I));
+    IndexOf.emplace(It.Ticket, static_cast<int>(I));
+  }
+
+  std::vector<int> ExcusedAt;
+  for (uint64_t T : Excusals) {
+    auto At = IndexOf.find(T);
+    ASSERT_NE(At, IndexOf.end()) << Tag << ": excused ticket " << T;
+    ExcusedAt.push_back(At->second);
+  }
+  std::sort(ExcusedAt.begin(), ExcusedAt.end());
+  ExcusedAt.erase(std::unique(ExcusedAt.begin(), ExcusedAt.end()),
+                  ExcusedAt.end());
+  const faults::FaultLedger &L = E.faultLedger();
+  EXPECT_EQ(DupAt, L.DupEntries) << Tag;
+  EXPECT_EQ(ExcusedAt, L.ExcusedEntries) << Tag;
+}
+
+} // namespace
+
+TEST(StreamCheck, LogConsumersAgreeUnderMixedFaults) {
+  faults::FaultPlan Plan = namedPlan("mixed");
+  faults::Injector Inj(Plan);
+  for (Maker Make : {firewallScenario, ringScenario}) {
+    Scenario S = Make(23);
+    ASSERT_TRUE(S.C.ok()) << S.A.Name << ": " << S.C.status().str();
+    for (OverloadPolicy Policy :
+         {OverloadPolicy::Block, OverloadPolicy::ShedOldest})
+      expectLogConsumersAgree(S, 3, &Inj, Policy,
+                              S.A.Name + " plan=mixed policy=" +
+                                  overloadPolicyName(Policy));
+  }
+}
+
+/// The FaultInjection OverloadPolicies shape: a ring clamped to two
+/// slots sheds hundreds of messages per run, so the producer-written shed
+/// excusals reach both consumers too.
+TEST(StreamCheck, LogConsumersAgreeUnderShedding) {
+  Scenario S{apps::ringApp(6, 3), {}, {}};
+  S.C = compileApp(S.A);
+  ASSERT_TRUE(S.C.ok()) << S.C.status().str();
+  TrafficGen G(S.A.Topo, 17);
+  S.W = G.bulk(topo::HostH1, topo::HostH2, 200, 100);
+  S.W += G.probe(topo::HostH1, topo::HostH2);
+  S.W += G.bulk(topo::HostH1, topo::HostH2, 200, 100);
+  faults::FaultPlan Plan;
+  Plan.Seed = 3;
+  Plan.QueueCapacityClamp = 2;
+  faults::Injector Inj(Plan);
+  for (OverloadPolicy Policy :
+       {OverloadPolicy::ShedOldest, OverloadPolicy::ShedNewest})
+    expectLogConsumersAgree(S, 3, &Inj, Policy, overloadPolicyName(Policy));
+}
+
 /// Agreement on the *violated* side: truncating a chain without an
 /// excusal must fail both checkers the same way.
 TEST(StreamCheck, TruncatedChainViolatesLikeBatch) {
@@ -376,34 +486,38 @@ TEST(StreamCheck, PeakAccountingTracksWindow) {
 /// End-to-end through the façade: the engine's per-shard stream sink,
 /// the collector thread's watermark protocol, and the checker — in
 /// differential mode, so the online verdict is compared against the
-/// batch replay of the very same run.
+/// batch replay of the very same run. Both engine-based backends run the
+/// same engine set-up, so both must agree.
 TEST(StreamCheckApi, LiveCollectorDifferentialAgrees) {
-  for (uint64_t Seed : {1ull, 9ull, 23ull}) {
-    Scenario S = ringScenario(Seed); // for the compilation only
-    ASSERT_TRUE(S.C.ok()) << S.C.status().str();
-    api::RunOptions O;
-    O.seed(Seed)
-        .shards(4)
-        .workload("churn")
-        .phases(4)
-        .pingsPerPhase(16)
-        .streamingCheck(true)
-        .checkDifferential(true);
-    auto R = api::run(*S.C, "engine", O);
-    ASSERT_TRUE(R.ok()) << R.status().str();
-    EXPECT_TRUE(R->StreamCheck.Enabled);
-    EXPECT_TRUE(R->Checked);
-    EXPECT_TRUE(R->StreamCheck.DifferentialRan);
-    EXPECT_FALSE(R->StreamCheck.Result.violated())
-        << "seed " << Seed << ": " << R->StreamCheck.Result.Reason;
-    EXPECT_TRUE(R->StreamCheck.DifferentialMatched)
-        << "seed " << Seed << ": stream="
-        << streamVerdictName(R->StreamCheck.Result.Verdict) << " ("
-        << R->StreamCheck.Result.Reason << ") batch="
-        << (R->Consistency.Correct ? "ok" : "fail");
-    // Every logged entry reached the checker through the stream.
-    EXPECT_EQ(R->StreamCheck.Result.Stats.EntriesChecked, R->Trace.size())
-        << "seed " << Seed;
+  for (const char *Backend : {"engine", "net"}) {
+    for (uint64_t Seed : {1ull, 9ull, 23ull}) {
+      Scenario S = ringScenario(Seed); // for the compilation only
+      ASSERT_TRUE(S.C.ok()) << S.C.status().str();
+      api::RunOptions O;
+      O.seed(Seed)
+          .shards(4)
+          .workload("churn")
+          .phases(4)
+          .pingsPerPhase(16)
+          .streamingCheck(true)
+          .checkDifferential(true);
+      auto R = api::run(*S.C, Backend, O);
+      ASSERT_TRUE(R.ok()) << Backend << ": " << R.status().str();
+      EXPECT_TRUE(R->StreamCheck.Enabled) << Backend;
+      EXPECT_TRUE(R->Checked) << Backend;
+      EXPECT_TRUE(R->StreamCheck.DifferentialRan) << Backend;
+      EXPECT_FALSE(R->StreamCheck.Result.violated())
+          << Backend << " seed " << Seed << ": "
+          << R->StreamCheck.Result.Reason;
+      EXPECT_TRUE(R->StreamCheck.DifferentialMatched)
+          << Backend << " seed " << Seed << ": stream="
+          << streamVerdictName(R->StreamCheck.Result.Verdict) << " ("
+          << R->StreamCheck.Result.Reason << ") batch="
+          << (R->Consistency.Correct ? "ok" : "fail");
+      // Every logged entry reached the checker through the stream.
+      EXPECT_EQ(R->StreamCheck.Result.Stats.EntriesChecked, R->Trace.size())
+          << Backend << " seed " << Seed;
+    }
   }
 }
 
@@ -428,26 +542,29 @@ TEST(StreamCheckApi, StreamingOnlyRetainsNoTrace) {
 }
 
 /// A fault plan's ledger must flow through the stream (excusals and dup
-/// markers ride the per-shard buffers, not the merged-trace remap).
+/// markers ride the per-shard logs, not the merged-trace remap).
 TEST(StreamCheckApi, LiveCollectorAgreesUnderFaults) {
   Scenario S = firewallScenario(23);
   ASSERT_TRUE(S.C.ok()) << S.C.status().str();
   auto Plan = std::make_shared<faults::FaultPlan>(namedPlan("mixed"));
-  api::RunOptions O;
-  O.seed(23)
-      .shards(2)
-      .faults(Plan)
-      .streamingCheck(true)
-      .checkDifferential(true);
-  auto R = api::run(*S.C, "engine", O);
-  ASSERT_TRUE(R.ok()) << R.status().str();
-  EXPECT_TRUE(R->StreamCheck.DifferentialRan);
-  EXPECT_FALSE(R->StreamCheck.Result.violated())
-      << R->StreamCheck.Result.Reason;
-  EXPECT_TRUE(R->StreamCheck.DifferentialMatched)
-      << "stream=" << streamVerdictName(R->StreamCheck.Result.Verdict)
-      << " (" << R->StreamCheck.Result.Reason << ") batch="
-      << (R->Consistency.Correct ? "ok" : "fail");
+  for (const char *Backend : {"engine", "net"}) {
+    api::RunOptions O;
+    O.seed(23)
+        .shards(2)
+        .faults(Plan)
+        .streamingCheck(true)
+        .checkDifferential(true);
+    auto R = api::run(*S.C, Backend, O);
+    ASSERT_TRUE(R.ok()) << Backend << ": " << R.status().str();
+    EXPECT_TRUE(R->StreamCheck.DifferentialRan) << Backend;
+    EXPECT_FALSE(R->StreamCheck.Result.violated())
+        << Backend << ": " << R->StreamCheck.Result.Reason;
+    EXPECT_TRUE(R->StreamCheck.DifferentialMatched)
+        << Backend
+        << ": stream=" << streamVerdictName(R->StreamCheck.Result.Verdict)
+        << " (" << R->StreamCheck.Result.Reason << ") batch="
+        << (R->Consistency.Correct ? "ok" : "fail");
+  }
 }
 
 /// A collector that lags the data path must cost counted sheds and a

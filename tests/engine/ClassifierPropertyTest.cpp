@@ -309,7 +309,6 @@ TEST(ClassifierProperty, EngineFreelistsNeverGrow) {
     Cfg.NumShards = Shards;
     Cfg.BatchSize = 32;
     Cfg.RecordTrace = false; // the throughput-benchmark shape
-    Cfg.RecordDeliveries = false;
     Cfg.EchoReplies = false;
     engine::Engine E(*C->N, A.Topo, Cfg);
     engine::TrafficGen G(A.Topo, 3);
@@ -349,7 +348,6 @@ TEST(ClassifierProperty, EngineSteadyStateAllocatesNothing) {
     Cfg.NumShards = Shards;
     Cfg.QueueCapacity = Capacity;
     Cfg.RecordTrace = false;
-    Cfg.RecordDeliveries = false;
     Cfg.EchoReplies = false;
     engine::Engine E(*C->N, A.Topo, Cfg);
     // Each direction's injections all enter one ring, and at 2 shards H1

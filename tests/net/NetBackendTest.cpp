@@ -17,6 +17,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <string>
 
 using namespace eventnet;
 using namespace eventnet::api;
@@ -137,6 +140,34 @@ TEST(NetBackend, WorkloadRealizationIsDeterministic) {
   ASSERT_TRUE(A.ok() && B.ok());
   EXPECT_EQ(A->Net.FramesInjected, B->Net.FramesInjected);
   EXPECT_EQ(A->Net.BarriersAcked, B->Net.BarriersAcked);
+}
+
+TEST(NetBackend, MetricsSamplerWritesJsonLines) {
+  // The net backend runs the same engine set-up as the engine backend,
+  // metrics sampler included: the keys CI's observability smoke reads.
+  Result<Compilation> C = compileFirewall();
+  ASSERT_TRUE(C.ok()) << C.status().str();
+  std::string Path = ::testing::TempDir() + "net_backend_metrics.jsonl";
+  std::remove(Path.c_str());
+
+  Result<RunReport> R =
+      run(*C, "net",
+          RunOptions().seed(7).shards(2).phases(3).pingsPerPhase(4)
+              .netConnections(2).metricsIntervalMs(5).metricsPath(Path));
+  ASSERT_TRUE(R.ok()) << R.status().str();
+
+  std::ifstream In(Path);
+  ASSERT_TRUE(In) << Path;
+  std::string Line;
+  size_t Lines = 0;
+  while (std::getline(In, Line)) {
+    ++Lines;
+    EXPECT_EQ(Line.front(), '{') << Line;
+    EXPECT_NE(Line.find("\"ts\""), std::string::npos) << Line;
+    EXPECT_NE(Line.find("\"queue_depth\""), std::string::npos) << Line;
+  }
+  EXPECT_GE(Lines, 2u);
+  std::remove(Path.c_str());
 }
 
 TEST(NetBackend, RejectsSillyConnectionCounts) {
