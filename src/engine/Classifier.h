@@ -29,11 +29,11 @@
 /// vector is consumed with a monotone cursor — the whole lookup touches
 /// each packet field at most once.
 ///
-/// PacketBuf/MsgRecycler are the freelist side of the zero-allocation
-/// hot path: emission writes into recycled packets whose field vectors
-/// retain their capacity, so steady-state forwarding performs no heap
-/// allocations (ClassifierPropertyTest asserts this with a counting
-/// allocator).
+/// RecyclePool (PacketBuf here, the engine's MsgBuf) is the freelist
+/// side of the zero-allocation hot path: emission writes into recycled
+/// packets whose field vectors retain their capacity, so forwarding
+/// performs no heap allocations (ClassifierPropertyTest asserts this
+/// with a counting allocator).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -85,22 +85,38 @@ Engine::Engine(const nes::Nes &N, const topo::Topology &Topo,
     Sl.Published.store(new SwitchView{Sl.Tag, Sl.E, 0});
   }
 
+  // Pre-size the recycled pools to their steady-state working set (a
+  // full dequeue batch can fill any one egress buffer, the classifier
+  // emits at most a batch of outputs per packet chain, and injectBatch
+  // stages at most one chunk per ingress shard), so the hot loop's and
+  // the injector's freelists never grow after construction. Every
+  // message slot also gets room for the widest ring record, so unpacking
+  // a record, building a hop or building an echo reply never grows a
+  // slot's vectors, not even on a fresh engine's first batch.
+  auto FitRecord = [](Msg &M) {
+    M.P.Pkt.reserve(MsgRecord::MaxFields);
+    M.P.Digest.reserve(MsgRecord::MaxDigestWords);
+  };
+  auto PresizePool = [&](MsgBuf &B) {
+    B.reserve(C.BatchSize);
+    for (size_t I = 0; I != C.BatchSize; ++I)
+      FitRecord(B[I]);
+  };
+  InjStage.resize(C.BatchSize);
   for (unsigned I = 0; I != C.NumShards; ++I) {
     auto S = std::make_unique<Shard>();
     S->Index = I;
-    S->Q = std::make_unique<BoundedMpscQueue<Msg>>(C.QueueCapacity);
+    S->Q = std::make_unique<BoundedMpscQueue<MsgRecord>>(C.QueueCapacity);
     S->Batch.resize(C.BatchSize);
+    for (Msg &M : S->Batch)
+      FitRecord(M);
+    S->Stage.resize(C.BatchSize);
     S->OutBufs.resize(C.NumShards);
-    // Pre-size the recycled pools to their steady-state working set (a
-    // full dequeue batch can fill any one egress buffer, the classifier
-    // emits at most a batch of outputs per packet chain, and injectBatch
-    // stages at most one chunk per ingress shard), so the hot loop's and
-    // the injector's freelists never grow after construction.
     for (MsgBuf &B : S->OutBufs)
-      B.reserve(C.BatchSize);
-    S->SelfProc.reserve(C.BatchSize);
+      PresizePool(B);
+    PresizePool(S->SelfProc);
     S->ClsOut.reserve(C.BatchSize);
-    InjBufs.emplace_back().reserve(C.BatchSize);
+    PresizePool(InjBufs.emplace_back());
     // Observability state is allocated only when asked for: a disabled
     // run carries null pointers and the recording sites reduce to one
     // predictable branch.
@@ -361,8 +377,9 @@ void Engine::overflowMsg(Shard &Dst, Msg &&M) {
     Dst.Overflow.pop_front();
   }
   Dst.Overflow.push_back(std::move(M));
-  // A spill means the ring is full: the true backlog is ring + overflow.
-  Dst.QueueHighWater.raiseTo(Dst.Q->capacity() + Dst.Overflow.size());
+  // The backlog is ring + overflow. The ring need not be full: a message
+  // too wide for a record spills whatever the ring holds.
+  Dst.QueueHighWater.raiseTo(Dst.Q->sizeApprox() + Dst.Overflow.size());
 }
 
 void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
@@ -405,12 +422,13 @@ void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
         // it enters at At on switch D (this shard), placed there like
         // injectBatch's injections. It rides the batched egress buffer
         // like any output (flushOut does the Pending accounting for the
-        // whole batch).
+        // whole batch), and its header is rebuilt in the recycled slot,
+        // so a reply allocates nothing.
         Msg &R = S.OutBufs[Slots[D].Shard].next();
         R.K = Msg::Inject;
         R.From = H;
-        R.P.Pkt = sim::makeWireHeader(H, static_cast<HostId>(Src),
-                                      sim::KindReply, Seq);
+        sim::fillWireHeader(R.P.Pkt, H, static_cast<HostId>(Src),
+                            sim::KindReply, Seq);
         // The session tag rides the round trip: the reply must route
         // back to the connection that emitted the request.
         Value Conn = Out.getOr(sim::connField(), -1);
@@ -711,11 +729,46 @@ void Engine::prefetchMsg(const Msg &M) const {
   Compiled.pipe(M.P.Tag, M.P.Dense).classifier().prefetchRoot();
 }
 
-void Engine::pushBatchToShard(uint32_t Target, Msg *Msgs, size_t N) {
-  // One tryPushBatch per retry (a single tail CAS covers the whole
-  // claimed prefix); leftovers of a full ring go to the overflow deque —
-  // producers never block. The caller has already added the messages to
-  // Pending.
+bool Engine::MsgRecord::pack(const Msg &M) {
+  const auto &Fields = M.P.Pkt.fields();
+  size_t Words = M.P.Digest.numWords();
+  if (Fields.size() > MaxFields || Words > MaxDigestWords)
+    return false;
+  Parent = M.P.Parent;
+  EnqNs = M.EnqNs;
+  for (size_t I = 0; I != Fields.size(); ++I) {
+    Ids[I] = Fields[I].first;
+    Vals[I] = Fields[I].second;
+  }
+  std::copy_n(M.P.Digest.words(), Words, Digest);
+  Tag = M.P.Tag;
+  From = M.From;
+  Dense = M.P.Dense;
+  NumFields = static_cast<uint8_t>(Fields.size());
+  NumWords = static_cast<uint8_t>(Words);
+  K = M.K;
+  IngressLogged = M.P.IngressLogged;
+  FromDup = M.P.FromDup;
+  return true;
+}
+
+void Engine::MsgRecord::unpack(Msg &M) const {
+  M.K = K;
+  M.From = From;
+  M.EnqNs = EnqNs;
+  M.P.Pkt.assignSorted(Ids, Vals, NumFields);
+  M.P.Tag = Tag;
+  M.P.Digest.assignWords(Digest, NumWords);
+  M.P.Parent = Parent;
+  M.P.Dense = Dense;
+  M.P.IngressLogged = IngressLogged;
+  M.P.FromDup = FromDup;
+}
+
+void Engine::pushBatchToShard(uint32_t Target, Msg *Msgs, size_t N,
+                              MsgRecord *Stage) {
+  // The caller has already added the messages to Pending, so a message
+  // may become visible as soon as it is packed or spilled.
   if (C.LatencyHistograms) {
     // One clock read covers the whole batch: dwell is measured from the
     // hand-off point, and the batch is handed off at once.
@@ -724,9 +777,26 @@ void Engine::pushBatchToShard(uint32_t Target, Msg *Msgs, size_t N) {
       Msgs[I].EnqNs = Now;
   }
   Shard &Dst = *Shards[Target];
+  for (size_t First = 0; First < N; First += C.BatchSize) {
+    size_t Last = std::min<size_t>(N, First + C.BatchSize);
+    size_t Packed = 0;
+    for (size_t I = First; I != Last; ++I) {
+      if (Stage[Packed].pack(Msgs[I]))
+        ++Packed;
+      else // too wide for a record: copy it out of the recycled slot
+        overflowMsg(Dst, Msg(Msgs[I]));
+    }
+    pushRecords(Dst, Stage, Packed);
+  }
+}
+
+void Engine::pushRecords(Shard &Dst, const MsgRecord *Recs, size_t N) {
+  // One tryPushBatch per retry (a single tail CAS covers the whole
+  // claimed prefix); leftovers of a full ring go to the overflow deque —
+  // producers never block.
   size_t Done = 0;
   while (Done != N) {
-    size_t Pushed = Dst.Q->tryPushBatch(Msgs + Done, N - Done);
+    size_t Pushed = Dst.Q->tryPushBatch(Recs + Done, N - Done);
     if (Pushed == 0)
       break;
     Done += Pushed;
@@ -745,13 +815,13 @@ void Engine::pushBatchToShard(uint32_t Target, Msg *Msgs, size_t N) {
       } else if (Attempt > 64) {
         std::this_thread::yield();
       }
-      Done += Dst.Q->tryPushBatch(Msgs + Done, N - Done);
+      Done += Dst.Q->tryPushBatch(Recs + Done, N - Done);
     }
   }
   for (; Done != N; ++Done) {
-    // Copy out of the caller's recycled slot; the overload policy
-    // decides the message's fate.
-    Msg Spill = Msgs[Done];
+    // The overload policy decides the spilled message's fate.
+    Msg Spill;
+    Recs[Done].unpack(Spill);
     overflowMsg(Dst, std::move(Spill));
   }
 }
@@ -775,7 +845,7 @@ void Engine::flushOut(Shard &S) {
       continue;
     obsRecord(S, obs::TraceKind::CrossShardPush, T,
               static_cast<uint32_t>(B.size()));
-    pushBatchToShard(T, B.data(), B.size());
+    pushBatchToShard(T, B.data(), B.size(), S.Stage.data());
     B.reset();
   }
 }
@@ -811,7 +881,7 @@ void Engine::releaseDelayed(Shard &S) {
     S.Delayed.pop_front();
     if (DM.Target != S.Index) {
       // Pending was counted at stash time; hand the message over.
-      pushBatchToShard(DM.Target, &DM.M, 1);
+      pushBatchToShard(DM.Target, &DM.M, 1, S.Stage.data());
       continue;
     }
     // A held intra-shard hop: process in place. Outputs are counted
@@ -864,10 +934,12 @@ size_t Engine::drainBatch(Shard &S) {
       releaseDelayed(S);
   }
 
-  size_t N = S.Q->tryPopBatch(S.Batch.data(), C.BatchSize);
+  size_t N = S.Q->tryPopBatch(S.Stage.data(), C.BatchSize);
+  for (size_t I = 0; I != N; ++I)
+    S.Stage[I].unpack(S.Batch[I]);
   if (N == 0) {
     // Ring empty: check the overflow (rare; only populated while the
-    // ring was full).
+    // ring was full, or by messages too wide for a record).
     std::unique_lock<std::mutex> Lock(S.OverflowMu);
     size_t Backlog = S.Overflow.size();
     size_t Max = std::min<size_t>(C.BatchSize, Backlog);
@@ -1028,13 +1100,13 @@ void Engine::injectBatch(const Injection *Inj, size_t N) {
   // chunks): the workers forward the first chunks while the rest is
   // staged, and no staging buffer outgrows one chunk. Headers are
   // copy-assigned into recycled slots and placed at the host's ingress
-  // here (the location is resolved for the grouping anyway), so a warm
-  // injecting thread allocates nothing and every packet a ring cell
-  // holds has the same location fields.
+  // here (the location is resolved for the grouping anyway), then packed
+  // into plain ring records, so the injecting thread allocates nothing
+  // per injection.
   auto Flush = [&](uint32_t T) {
     MsgBuf &B = InjBufs[T];
     Pending.fetch_add(static_cast<int64_t>(B.size()));
-    pushBatchToShard(T, B.data(), B.size());
+    pushBatchToShard(T, B.data(), B.size(), InjStage.data());
     B.reset();
   };
   for (size_t I = 0; I != N; ++I) {

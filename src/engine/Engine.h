@@ -356,17 +356,53 @@ private:
     bool FromDup = false;
   };
 
-  /// A data-ring message carrying one packet: a hop in flight
-  /// (PacketIn) or a host injection (Inject). An injection's header
-  /// rides in P.Pkt, already placed at the host's ingress with P.Dense
-  /// set; handleInject fills in the rest of P where the message sits, so
-  /// a recycled slot keeps its packet's capacity.
+  /// A message carrying one packet: a hop in flight (PacketIn) or a host
+  /// injection (Inject). An injection's header rides in P.Pkt, already
+  /// placed at the host's ingress with P.Dense set; handleInject fills in
+  /// the rest of P where the message sits, so a recycled slot keeps its
+  /// packet's capacity. Msgs live in recycled slots (MsgBuf, the dequeue
+  /// batch) and the overflow deque; a data ring carries each one as a
+  /// MsgRecord.
   struct Msg {
     enum Kind : uint8_t { PacketIn, Inject } K = PacketIn;
     EnginePacket P;
     HostId From = 0;   ///< injecting host (Inject only)
     int64_t EnqNs = 0; ///< ring-enqueue stamp (only when LatencyHistograms)
   };
+
+  /// A Msg flattened into plain data: the form it takes in a data ring's
+  /// cell. The producer packs each Msg into one (pushBatchToShard) and the
+  /// owner unpacks each into a recycled Batch slot whose vectors keep
+  /// their capacity (drainBatch), so a push copies bytes and allocates
+  /// nothing, on a ring's first lap or any later one. A Msg with more
+  /// than MaxFields header fields or MaxDigestWords digest words does not
+  /// fit and travels the overflow deque instead; every sim/Wire.h packet
+  /// fits (sw, pt, ip_src, ip_dst, kind, seq, probe and conn at most).
+  /// The fields are ordered so a record fills exactly two cache lines.
+  struct alignas(64) MsgRecord {
+    static constexpr unsigned MaxFields = 8;
+    static constexpr unsigned MaxDigestWords = 2; ///< events 0..127
+
+    int64_t Parent;
+    int64_t EnqNs;
+    Value Vals[MaxFields]; ///< field values, parallel to Ids
+    uint64_t Digest[MaxDigestWords];
+    nes::SetId Tag;
+    HostId From;
+    uint32_t Dense;
+    FieldId Ids[MaxFields]; ///< field ids, strictly increasing
+    uint8_t NumFields;
+    uint8_t NumWords;
+    Msg::Kind K;
+    bool IngressLogged : 1;
+    bool FromDup : 1;
+
+    /// Packs \p M; false (and nothing written) when it does not fit.
+    bool pack(const Msg &M);
+    /// Rebuilds the packed message in \p M, reusing its capacity.
+    void unpack(Msg &M) const;
+  };
+  static_assert(sizeof(MsgRecord) == 128, "a record is two cache lines");
 
   /// An update delta on a shard's priority lane: one detected event and
   /// the detection's consistent extension as its causal fallback.
@@ -384,17 +420,19 @@ private:
 
   /// A recycled message buffer for one target shard (a worker's egress,
   /// injectBatch's injections): slots keep their heap capacity across
-  /// reset(), so steady-state batching allocates nothing (the flush
-  /// *copies* into the target ring's cells, which are themselves
-  /// recycled after the ring's first lap — see Queue.h).
+  /// reset(), so batching allocates nothing; the flush packs each
+  /// message into a plain MsgRecord for the target ring.
   using MsgBuf = RecyclePool<Msg>;
 
   struct Shard {
     uint32_t Index = 0; ///< own position in Shards
-    std::unique_ptr<BoundedMpscQueue<Msg>> Q; ///< lock-free fast path
-    /// Overflow when the ring is full: producers never block (a cycle
-    /// of full bounded queues would otherwise deadlock the workers);
-    /// the owner drains the ring first, then the overflow.
+    /// Lock-free fast path: cells are plain MsgRecords, so no push
+    /// allocates.
+    std::unique_ptr<BoundedMpscQueue<MsgRecord>> Q;
+    /// Overflow when the ring is full, and for messages too wide for a
+    /// MsgRecord: producers never block (a cycle of full bounded queues
+    /// would otherwise deadlock the workers); the owner drains the ring
+    /// first, then the overflow.
     std::mutex OverflowMu;
     std::deque<Msg> Overflow;
     /// Priority update lane: deltas bypass the data ring entirely, so an
@@ -411,8 +449,15 @@ private:
     std::atomic<uint32_t> CtrlLaneSize{0};
     RetireList<SwitchView> Retired;
     std::thread Thread;
-    PacketBuf ClsOut;            ///< recycled classifier outputs
-    std::vector<Msg> Batch;      ///< recycled dequeue batch slots
+    PacketBuf ClsOut; ///< recycled classifier outputs
+    /// Recycled dequeue batch slots: drainBatch unpacks each popped
+    /// record into one, and the slot's vectors keep their capacity.
+    std::vector<Msg> Batch;
+    /// BatchSize records of staging, private to the owner: drainBatch
+    /// pops a ring batch into it before unpacking, and this shard's
+    /// pushes (flushOut, delayed releases) pack each chunk into it. The
+    /// two never overlap: a popped batch is unpacked before any push.
+    std::vector<MsgRecord> Stage;
     std::vector<MsgBuf> OutBufs; ///< recycled egress, per target
     MsgBuf SelfProc; ///< swap space for draining OutBufs[Index] in place
     /// Scratch bitsets for the SWITCH rule (capacity-reusing; the hot
@@ -544,10 +589,16 @@ private:
   void forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
                   const netkat::Packet &Out, const DenseBitSet &OutDigest);
   void applyRegister(Shard &S, uint32_t Dense, const DenseBitSet &NewE);
-  /// Pushes \p N already-Pending-counted messages into \p Target's ring
-  /// (batch CAS), spilling leftovers to the overflow deque. Stamps each
-  /// message's EnqNs when latency histograms are on (hence non-const).
-  void pushBatchToShard(uint32_t Target, Msg *Msgs, size_t N);
+  /// Pushes \p N already-Pending-counted messages into \p Target's ring,
+  /// packing each BatchSize chunk into the producer's \p Stage records
+  /// first. Messages too wide for a record go to the overflow deque.
+  /// Stamps each message's EnqNs when latency histograms are on (hence
+  /// non-const).
+  void pushBatchToShard(uint32_t Target, Msg *Msgs, size_t N,
+                        MsgRecord *Stage);
+  /// Pushes \p N packed records into \p Dst's ring (batch CAS), retrying
+  /// under Block, and spills what does not fit to the overflow deque.
+  void pushRecords(Shard &Dst, const MsgRecord *Recs, size_t N);
   /// Records one obs trace event on \p S's ring; a null test when
   /// tracing is off.
   void obsRecord(Shard &S, obs::TraceKind K, uint32_t A, uint32_t B) {
@@ -612,10 +663,13 @@ private:
   bool Started = false; ///< start() ran (driver-thread private)
   /// Injection staging buffers, one per ingress shard, pre-sized to
   /// BatchSize slots and reset() after each chunk is pushed: headers are
-  /// copy-assigned into slots that keep their capacity, so a warm
-  /// injecting thread allocates nothing per injection however large a
-  /// call is (private to the injecting thread).
+  /// copy-assigned into slots that keep their capacity, so the injecting
+  /// thread allocates nothing per injection however large a call is
+  /// (private to the injecting thread).
   std::vector<MsgBuf> InjBufs;
+  /// The injecting thread's BatchSize records of ring staging (see
+  /// Shard::Stage).
+  std::vector<MsgRecord> InjStage;
 
   // Engine-wide counters (cache-line padded, relaxed; see Stats.h). They
   // move per event or per fault; the per-message tallies live on the

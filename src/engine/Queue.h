@@ -9,43 +9,45 @@
 /// The inter-shard packet channel: a bounded multi-producer queue after
 /// Vyukov's array-based MPMC design. Each cell has a sequence number
 /// (kept in an array of its own) so producers claim cells with one
-/// compare-exchange and consumers observe fully-constructed elements
+/// compare-exchange and consumers observe fully-written elements
 /// without locks. The engine uses one queue per shard (any shard or the
 /// injecting thread produces; only the owner consumes — MPSC), which
 /// degenerates to SPSC wait-free hand-off when exactly one producer is
 /// active.
 ///
-/// A cell's element is built on first use: the first lap constructs it
-/// in place, later laps assign into it, and the destructor destroys only
-/// the cells that were built. Construction therefore touches only the
-/// sequence numbers, never capacity x sizeof(T) bytes of elements, and
-/// after its first lap the ring doubles as a freelist of warm elements.
+/// Elements are trivially copyable: a cell is raw storage that producers
+/// write and the consumer reads with plain byte copies, so a push never
+/// runs a constructor or allocates, on the first lap or any later one.
+/// Construction touches only the sequence numbers, never capacity x
+/// sizeof(T) bytes of cells.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef EVENTNET_ENGINE_QUEUE_H
 #define EVENTNET_ENGINE_QUEUE_H
 
-#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
-#include <new>
 #include <thread>
-#include <utility>
+#include <type_traits>
 
 namespace eventnet {
 namespace engine {
 
 /// Bounded lock-free queue (Vyukov bounded MPMC; used MPSC here).
 template <typename T> class BoundedMpscQueue {
+  static_assert(std::is_trivially_copyable_v<T>,
+                "ring cells are written and read by plain byte copies");
+
 public:
   /// \p Capacity is rounded up to a power of two. Only the sequence
-  /// numbers are initialized here; element storage stays untouched until
-  /// a producer first writes each cell.
+  /// numbers are initialized here; cell storage stays untouched until a
+  /// producer first writes each cell.
   explicit BoundedMpscQueue(size_t Capacity) {
     size_t Cap = 2;
     while (Cap < Capacity)
@@ -57,20 +59,11 @@ public:
     Mask = Cap - 1;
   }
 
-  /// Destroys the elements of the cells that were built: a cell is built
-  /// by the first push that lands on it, so those are the first
-  /// min(Tail, capacity) cells.
-  ~BoundedMpscQueue() {
-    size_t Built = std::min(Tail.load(std::memory_order_relaxed), Mask + 1);
-    for (size_t I = 0; I != Built; ++I)
-      elem(I).~T();
-  }
-
   BoundedMpscQueue(const BoundedMpscQueue &) = delete;
   BoundedMpscQueue &operator=(const BoundedMpscQueue &) = delete;
 
   /// Attempts to enqueue; returns false when full.
-  bool tryPush(T &&V) {
+  bool tryPush(const T &V) {
     size_t Pos = Tail.load(std::memory_order_relaxed);
     for (;;) {
       size_t Seq = Seqs[Pos & Mask].load(std::memory_order_acquire);
@@ -86,7 +79,7 @@ public:
         Pos = Tail.load(std::memory_order_relaxed);
       }
     }
-    put(Pos, std::move(V));
+    put(Pos, V);
     Seqs[Pos & Mask].store(Pos + 1, std::memory_order_release);
     return true;
   }
@@ -94,8 +87,8 @@ public:
   /// Enqueues, retrying while the queue is full. \p WhileFull (if
   /// non-null) is invoked once per failed attempt so a worker can drain
   /// its own queue instead of deadlocking on a cycle of full queues.
-  template <typename FnT> void pushBlocking(T &&V, FnT WhileFull) {
-    while (!tryPush(std::move(V)))
+  template <typename FnT> void pushBlocking(const T &V, FnT WhileFull) {
+    while (!tryPush(V))
       WhileFull();
   }
 
@@ -104,10 +97,10 @@ public:
   /// sleeps capped at 256µs. A saturated consumer costs the producer
   /// scheduler-visible sleeps instead of a core-burning busy loop, and
   /// the cap bounds added latency once the queue drains.
-  void pushBlocking(T &&V) {
+  void pushBlocking(const T &V) {
     unsigned Attempt = 0;
     uint32_t SleepUs = 1;
-    pushBlocking(std::move(V), [&] {
+    pushBlocking(V, [&] {
       ++Attempt;
       if (Attempt <= 64)
         return; // spin: full window is transient in the common case
@@ -124,14 +117,8 @@ public:
   /// Enqueues up to \p N elements with a single tail CAS; returns how
   /// many were pushed (a prefix of \p Vals). Cell availability is
   /// monotone in consumer progress, so probing forward from the tail
-  /// finds the largest claimable prefix.
-  ///
-  /// Elements are *copied* into the cells (and tryPopBatch copy-assigns
-  /// them out). The first lap copy-constructs each cell's element; every
-  /// later lap copy-assigns into the element the cell already holds, so
-  /// for heap-backed T the ring is a freelist after its first lap —
-  /// steady-state traffic reuses every cell's capacity and performs no
-  /// allocations. Callers likewise keep \p Vals as recycled slots.
+  /// finds the largest claimable prefix. Each element is a byte copy
+  /// into its cell: no lap of the ring allocates.
   size_t tryPushBatch(const T *Vals, size_t N) {
     for (;;) {
       size_t Pos = Tail.load(std::memory_order_relaxed);
@@ -165,8 +152,7 @@ public:
   }
 
   /// Dequeues up to \p Max elements into \p Out with one head update,
-  /// copy-assigning so the cells keep their heap capacity (see
-  /// tryPushBatch). Returns the count. Single consumer.
+  /// a byte copy out of each cell. Returns the count. Single consumer.
   size_t tryPopBatch(T *Out, size_t Max) {
     size_t Pos = Head.load(std::memory_order_relaxed);
     size_t N = 0;
@@ -176,7 +162,7 @@ public:
               static_cast<intptr_t>(Pos + N + 1) <
           0)
         break; // not yet published
-      Out[N] = elem((Pos + N) & Mask);
+      get((Pos + N) & Mask, Out[N]);
       Seqs[(Pos + N) & Mask].store(Pos + N + Mask + 1,
                                    std::memory_order_release);
       ++N;
@@ -196,7 +182,7 @@ public:
       return false; // empty
     assert(Diff == 0 && "single consumer violated");
     Head.store(Pos + 1, std::memory_order_relaxed);
-    Out = std::move(elem(Pos & Mask));
+    get(Pos & Mask, Out);
     Seqs[Pos & Mask].store(Pos + Mask + 1, std::memory_order_release);
     return true;
   }
@@ -216,18 +202,14 @@ private:
     unsigned char Bytes[sizeof(T)];
   };
 
-  T &elem(size_t I) {
-    return *std::launder(reinterpret_cast<T *>(Cells[I].Bytes));
+  /// Writes \p V into the cell of claimed position \p Pos.
+  void put(size_t Pos, const T &V) {
+    std::memcpy(Cells[Pos & Mask].Bytes, &V, sizeof(T));
   }
 
-  /// Writes \p V into the cell of claimed position \p Pos: positions
-  /// below the capacity are the cell's first lap, so its element is
-  /// constructed there; every later position assigns into it.
-  template <typename U> void put(size_t Pos, U &&V) {
-    if (Pos <= Mask)
-      ::new (static_cast<void *>(Cells[Pos].Bytes)) T(std::forward<U>(V));
-    else
-      elem(Pos & Mask) = std::forward<U>(V);
+  /// Reads cell \p I, which a producer wrote and published, into \p Out.
+  void get(size_t I, T &Out) const {
+    std::memcpy(&Out, Cells[I].Bytes, sizeof(T));
   }
 
   std::unique_ptr<std::atomic<size_t>[]> Seqs;

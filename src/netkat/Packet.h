@@ -21,6 +21,7 @@
 #include "support/Ids.h"
 #include "support/Symbols.h"
 
+#include <cassert>
 #include <string>
 #include <vector>
 
@@ -52,6 +53,25 @@ public:
 
   /// Removes field \p F if present.
   void erase(FieldId F);
+
+  /// Removes every field, keeping the allocated capacity (the engine
+  /// rebuilds headers in recycled slots).
+  void clear() { Fields.clear(); }
+
+  /// Makes room for \p N fields up front.
+  void reserve(size_t N) { Fields.reserve(N); }
+
+  /// Replaces the fields with the \p N pairs (Ids[i], Vals[i]), which must
+  /// already be sorted by strictly increasing id, keeping the allocated
+  /// capacity: the raw path that rebuilds a packet from a fixed-size
+  /// record without a per-field search.
+  void assignSorted(const FieldId *Ids, const Value *Vals, size_t N) {
+    Fields.resize(N);
+    for (size_t I = 0; I != N; ++I) {
+      assert((I == 0 || Ids[I - 1] < Ids[I]) && "fields out of order");
+      Fields[I] = {Ids[I], Vals[I]};
+    }
+  }
 
   /// Location accessors (reserved sw/pt fields).
   SwitchId sw() const { return static_cast<SwitchId>(get(FieldSw)); }

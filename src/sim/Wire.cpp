@@ -39,11 +39,17 @@ FieldId sim::connField() {
 
 Packet sim::makeWireHeader(HostId From, HostId To, Value Kind, uint64_t Seq) {
   Packet H;
+  fillWireHeader(H, From, To, Kind, Seq);
+  return H;
+}
+
+void sim::fillWireHeader(Packet &H, HostId From, HostId To, Value Kind,
+                         uint64_t Seq) {
+  H.clear();
   H.set(ipDstField(), static_cast<Value>(To));
   H.set(ipSrcField(), static_cast<Value>(From));
   H.set(kindField(), Kind);
   H.set(seqField(), static_cast<Value>(Seq));
-  return H;
 }
 
 //===----------------------------------------------------------------------===//

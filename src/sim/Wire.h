@@ -50,6 +50,11 @@ FieldId connField();
 netkat::Packet makeWireHeader(HostId From, HostId To, Value Kind,
                               uint64_t Seq);
 
+/// makeWireHeader in place: rebuilds \p H as that header, keeping its
+/// allocated capacity (the engine builds echo replies in recycled slots).
+void fillWireHeader(netkat::Packet &H, HostId From, HostId To, Value Kind,
+                    uint64_t Seq);
+
 //===----------------------------------------------------------------------===//
 // Byte-order helpers (explicit little-endian, alignment-free)
 //===----------------------------------------------------------------------===//

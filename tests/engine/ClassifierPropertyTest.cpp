@@ -16,9 +16,10 @@
 //  - zero freelist growth: a full engine run on the classifier path
 //    never grows its recycled egress/output pools — they are pre-sized
 //    from EngineConfig::BatchSize at construction;
-//  - allocation-free steady state: once every ring has completed a lap,
-//    a warm engine performs no heap allocations per injected packet, on
-//    the injecting thread or on the workers.
+//  - allocation-free forwarding: a warm engine performs no heap
+//    allocations per injected packet or echo reply, on the injecting
+//    thread or on the workers, and neither does a fresh engine whose
+//    rings are still on their first lap.
 //
 //===----------------------------------------------------------------------===//
 
@@ -323,15 +324,14 @@ TEST(ClassifierProperty, EngineFreelistsNeverGrow) {
 
 TEST(ClassifierProperty, EngineSteadyStateAllocatesNothing) {
   // Every buffer a packet passes through is recycled: the injection
-  // slots, the ring cells (built on their first lap, reused
-  // after it), the dequeue batch, the egress buffers and the classifier
-  // outputs. So once each ring has completed a lap, phases of traffic
-  // allocate nothing anywhere in the process — not even a phase larger
+  // slots, the ring cells (plain records), the dequeue batch, the egress
+  // buffers and the classifier outputs, and an echo reply's header is
+  // rebuilt in its recycled egress slot. So phases of traffic on a warm
+  // engine allocate nothing anywhere in the process — not a phase larger
   // than any before it, because injectBatch stages at most BatchSize
-  // injections per shard before handing them over. Trace and delivery
-  // recording allocate per packet by design, and echo replies are off
-  // because each reply still builds a fresh sim::makeWireHeader
-  // temporary.
+  // injections per shard before handing them over, and not a phase of
+  // echo requests in both directions, whose replies the hosts send
+  // back. Trace recording allocates per packet by design.
   apps::App A = apps::ringApp(16, 8);
   api::Result<nes::CompiledProgram> C = nes::compileAst(A.Ast, A.Topo);
   ASSERT_TRUE(C.ok()) << C.status().str();
@@ -343,16 +343,19 @@ TEST(ClassifierProperty, EngineSteadyStateAllocatesNothing) {
   constexpr size_t Capacity = 1024; // small rings lap quickly
   constexpr unsigned Measured = 10;
   constexpr unsigned BigPhase = 900; // > any warm phase, < Capacity
+  constexpr unsigned Pings = 128;    // echo requests per direction
   for (unsigned Shards : {1u, 2u}) {
     engine::EngineConfig Cfg;
     Cfg.NumShards = Shards;
     Cfg.QueueCapacity = Capacity;
     Cfg.RecordTrace = false;
-    Cfg.EchoReplies = false;
+    ASSERT_TRUE(Cfg.EchoReplies);
     engine::Engine E(*C->N, A.Topo, Cfg);
     // Each direction's injections all enter one ring, and at 2 shards H1
     // and H2 ingress on different shards, so every ring takes at least
-    // PerDir messages per phase: WarmPhases phases lap every ring.
+    // PerDir messages per phase: WarmPhases phases lap every ring, and
+    // the measured phases run on later laps (the fresh-engine test
+    // below covers the first).
     if (Shards == 2) {
       ASSERT_NE(E.partition().ShardOf[D1], E.partition().ShardOf[D2]);
     }
@@ -377,7 +380,15 @@ TEST(ClassifierProperty, EngineSteadyStateAllocatesNothing) {
         G.bulk(topo::HostH1, topo::HostH2, BigPhase, BigPhase);
     ASSERT_EQ(Big.Phases.size(), 1u);
     const std::vector<engine::Injection> &BigInj = Big.Phases[0].Injections;
-    uint64_t Total = uint64_t(2) * PerDir * Phases + BigInj.size();
+    // One phase of echo requests, alternating direction.
+    std::vector<engine::Injection> PingInj;
+    for (unsigned I = 0; I != Pings; ++I)
+      for (auto [From, To] : {std::pair(topo::HostH1, topo::HostH2),
+                              std::pair(topo::HostH2, topo::HostH1)})
+        PingInj.push_back(G.ping(From, To).Phases[0].Injections[0]);
+    // Each request and its reply are injected and delivered once.
+    uint64_t Total = uint64_t(2) * PerDir * Phases + BigInj.size() +
+                     2 * PingInj.size();
 
     E.start();
     uint64_t Before = 0;
@@ -390,6 +401,8 @@ TEST(ClassifierProperty, EngineSteadyStateAllocatesNothing) {
     }
     E.injectBatch(BigInj.data(), BigInj.size());
     E.awaitQuiescence();
+    E.injectBatch(PingInj.data(), PingInj.size());
+    E.awaitQuiescence();
     uint64_t After = GAllocs.load(std::memory_order_relaxed);
     // stats() allocates, so it runs only after the count is read.
     EXPECT_EQ(E.stats().PacketsDelivered, Total) << "shards=" << Shards;
@@ -398,10 +411,67 @@ TEST(ClassifierProperty, EngineSteadyStateAllocatesNothing) {
     EXPECT_EQ(After - Before, 0u)
         << "shards=" << Shards << ": " << (After - Before)
         << " allocations over " << Measured << " warm phases of "
-        << 2 * PerDir << " injections and one of " << BigInj.size();
+        << 2 * PerDir << " injections, one of " << BigInj.size()
+        << " and one of " << PingInj.size() << " echo requests";
     engine::Stats S = E.stats();
     EXPECT_EQ(S.PacketsInjected, Total);
     EXPECT_EQ(S.PacketsDelivered, S.PacketsInjected) << "shards=" << Shards;
+  }
+}
+
+TEST(ClassifierProperty, FreshEngineFirstLapAllocatesNothing) {
+  // On a fresh engine every ring push lands on a cell no push has used
+  // yet — the case of a short storm on a new engine, whose rings never
+  // finish a lap. Ring cells are plain records, so such a push copies
+  // bytes and allocates nothing. After one warm phase, whose probe fires
+  // the ring's event (so the registers, the tags and the digests have
+  // settled), a storm that is still on the rings' first lap allocates
+  // nothing anywhere in the process.
+  apps::App A = apps::ringApp(16, 8);
+  api::Result<nes::CompiledProgram> C = nes::compileAst(A.Ast, A.Topo);
+  ASSERT_TRUE(C.ok()) << C.status().str();
+
+  constexpr unsigned WarmPackets = 2000;
+  constexpr unsigned StormPackets = 8000;
+  for (unsigned Shards : {1u, 2u}) {
+    engine::EngineConfig Cfg;
+    Cfg.NumShards = Shards;
+    Cfg.RecordTrace = false;
+    // Every injection enters H1's ingress ring, which the two phases
+    // together do not fill even once.
+    ASSERT_LT(1 + WarmPackets + StormPackets, Cfg.QueueCapacity);
+    engine::Engine E(*C->N, A.Topo, Cfg);
+
+    // Build both phases up front: the workload's own vectors are not the
+    // engine's allocations.
+    engine::TrafficGen G(A.Topo, 5);
+    engine::Workload Warm = G.probe(topo::HostH1, topo::HostH2);
+    engine::Workload Bulk =
+        G.bulk(topo::HostH1, topo::HostH2, WarmPackets, WarmPackets);
+    std::vector<engine::Injection> &WarmInj = Warm.Phases[0].Injections;
+    WarmInj.insert(WarmInj.end(), Bulk.Phases[0].Injections.begin(),
+                   Bulk.Phases[0].Injections.end());
+    engine::Workload Storm =
+        G.bulk(topo::HostH1, topo::HostH2, StormPackets, StormPackets);
+    const std::vector<engine::Injection> &StormInj =
+        Storm.Phases[0].Injections;
+
+    E.start();
+    E.injectBatch(WarmInj.data(), WarmInj.size());
+    E.awaitQuiescence();
+    uint64_t Before = GAllocs.load(std::memory_order_relaxed);
+    E.injectBatch(StormInj.data(), StormInj.size());
+    E.awaitQuiescence();
+    uint64_t After = GAllocs.load(std::memory_order_relaxed);
+    E.finish();
+
+    EXPECT_EQ(After - Before, 0u)
+        << "shards=" << Shards << ": " << (After - Before)
+        << " allocations over a first-lap storm of " << StormInj.size();
+    engine::Stats S = E.stats();
+    EXPECT_EQ(S.EventsDetected, 1u) << "the warm phase's probe fired nothing";
+    EXPECT_EQ(S.PacketsDelivered, 1u + WarmPackets + StormPackets)
+        << "shards=" << Shards;
   }
 }
 

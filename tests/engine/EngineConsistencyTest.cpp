@@ -214,6 +214,102 @@ INSTANTIATE_TEST_SUITE_P(Shards, EngineBackpressure,
 
 namespace {
 
+/// A ring workload with every third injection of each phase, the probe
+/// among them, widened by 4 extra header fields: 10 fields once placed
+/// at the ingress, more than a ring record holds, so those packets cross
+/// every shard hand-off (the injecting thread's and the workers') through
+/// the overflow deque.
+Workload wideRingWorkload(const topo::Topology &Topo, size_t &Widened) {
+  TrafficGen G(Topo, 31);
+  Workload W = G.bulk(topo::HostH1, topo::HostH2, 600, 300);
+  W += G.probe(topo::HostH1, topo::HostH2);
+  W += G.bulk(topo::HostH1, topo::HostH2, 600, 300);
+  const FieldId Extra[] = {fieldOf("wide_a"), fieldOf("wide_b"),
+                           fieldOf("wide_c"), fieldOf("wide_d")};
+  Widened = 0;
+  for (Phase &Ph : W.Phases)
+    for (size_t I = 0; I < Ph.Injections.size(); I += 3, ++Widened)
+      for (FieldId F : Extra)
+        Ph.Injections[I].Header.set(F, static_cast<Value>(I));
+  return W;
+}
+
+} // namespace
+
+TEST(EngineOversizeRecords, BlockDeliversEveryWidePacket) {
+  apps::App A = apps::ringApp(16, 8);
+  api::Result<api::Compilation> C = compileApp(A);
+  ASSERT_TRUE(C.ok()) << C.status().str();
+  size_t Widened = 0;
+  Workload W = wideRingWorkload(A.Topo, Widened);
+
+  EngineConfig Cfg;
+  Cfg.NumShards = 2;
+  Engine E(C->structure(), A.Topo, Cfg);
+  // H1 and H2 ingress on different shards, so every delivery crossed the
+  // shard cut.
+  SwitchIndex Idx(A.Topo);
+  ASSERT_NE(E.partition().ShardOf[Idx.denseOf(A.Topo.hostLoc(topo::HostH1).Sw)],
+            E.partition().ShardOf[Idx.denseOf(A.Topo.hostLoc(topo::HostH2).Sw)]);
+  E.run(W);
+
+  Stats S = E.stats();
+  EXPECT_EQ(S.PacketsInjected, 1201u);
+  EXPECT_EQ(S.PacketsDelivered, 1201u);
+  EXPECT_EQ(S.PacketsDelivered + S.PacketsDropped, S.PacketsInjected);
+  EXPECT_EQ(S.EventsDetected, 1u);
+
+  // The wide packets arrive with every field they were sent with.
+  size_t WideDeliveries = 0;
+  for (const consistency::TraceEntry &En : E.trace().entries())
+    if (En.IsDelivery && En.Lp.has(fieldOf("wide_d")))
+      ++WideDeliveries;
+  EXPECT_EQ(WideDeliveries, Widened);
+
+  auto R = consistency::checkAgainstNes(E.trace(), A.Topo, C->structure());
+  EXPECT_TRUE(R.Correct) << R.Reason;
+}
+
+TEST(EngineOversizeRecords, ShedOldestKeepsExactAccounting) {
+  // The OverloadPolicies shape: rings clamped to two cells, and the
+  // overflow deque bounded at ring capacity, so the wide packets' spills
+  // meet the shedding policy too.
+  apps::App A = apps::ringApp(16, 8);
+  api::Result<api::Compilation> C = compileApp(A);
+  ASSERT_TRUE(C.ok()) << C.status().str();
+  size_t Widened = 0;
+  Workload W = wideRingWorkload(A.Topo, Widened);
+
+  faults::FaultPlan Plan;
+  Plan.Seed = 3;
+  Plan.QueueCapacityClamp = 2;
+  faults::Injector Inj(Plan);
+  EngineConfig Cfg;
+  Cfg.NumShards = 2;
+  Cfg.Overload = OverloadPolicy::ShedOldest;
+  Cfg.Faults = &Inj;
+  Engine E(C->structure(), A.Topo, Cfg);
+  E.run(W);
+
+  Stats S = E.stats();
+  EXPECT_EQ(S.PacketsInjected, 1201u);
+  EXPECT_EQ(S.PacketsDelivered + S.PacketsDropped, S.PacketsInjected)
+      << "delivered " << S.PacketsDelivered << " + dropped "
+      << S.PacketsDropped << " != injected (silent loss)";
+  EXPECT_GT(S.FaultSheds, 0u);
+  EXPECT_EQ(S.PacketsDropped, S.FaultSheds);
+
+  faults::FaultLedger L = E.takeFaultLedger();
+  consistency::FaultContext Ctx;
+  Ctx.ExcusedEntries = std::move(L.ExcusedEntries);
+  Ctx.DupEntries = std::move(L.DupEntries);
+  auto R = consistency::checkAgainstNes(E.trace(), A.Topo, C->structure(),
+                                        &Ctx);
+  EXPECT_TRUE(R.Correct) << R.Reason;
+}
+
+namespace {
+
 /// Named fault plans for the Definition 6 sweep below.
 faults::FaultPlan namedPlan(const std::string &Name) {
   faults::FaultPlan P;

@@ -84,3 +84,22 @@ TEST(Packet, StrMentionsFieldNames) {
   EXPECT_NE(S.find("sw=1"), std::string::npos);
   EXPECT_NE(S.find("pt=2"), std::string::npos);
 }
+
+TEST(Packet, AssignSortedReplacesEveryField) {
+  // The raw path the engine rebuilds a packet through: the old fields
+  // are replaced wholesale, never merged.
+  Packet Want = makePacket({3, 1}, {{fDst(), 4}, {fSrc(), 2}});
+  std::vector<FieldId> Ids;
+  std::vector<Value> Vals;
+  for (const auto &[F, V] : Want.fields()) {
+    Ids.push_back(F);
+    Vals.push_back(V);
+  }
+  Packet P = makePacket({9, 9}, {{fieldOf("seq"), 7}});
+  P.assignSorted(Ids.data(), Vals.data(), Ids.size());
+  EXPECT_EQ(P, Want);
+  P.assignSorted(Ids.data(), Vals.data(), 1);
+  EXPECT_EQ(P.fields().size(), 1u);
+  P.clear();
+  EXPECT_TRUE(P.fields().empty());
+}

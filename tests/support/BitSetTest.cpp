@@ -98,3 +98,18 @@ TEST(DenseBitSet, OrderingIsDeterministic) {
   EXPECT_TRUE(A < B || B < A);
   EXPECT_FALSE(A < A);
 }
+
+TEST(DenseBitSet, WordsRoundTrip) {
+  DenseBitSet A;
+  A.set(3);
+  A.set(70);
+  ASSERT_EQ(A.numWords(), 2u);
+  DenseBitSet B = DenseBitSet::single(200);
+  B.assignWords(A.words(), A.numWords());
+  EXPECT_EQ(B, A);
+  // Trailing zero words are normalized away, so equality stays structural.
+  const uint64_t Padded[2] = {5, 0};
+  B.assignWords(Padded, 2);
+  EXPECT_EQ(B.numWords(), 1u);
+  EXPECT_EQ(B.toVector(), (std::vector<unsigned>{0, 2}));
+}
