@@ -16,9 +16,9 @@
 ///              mode, one phase per quiescence window;
 ///   "engine"   the sharded concurrent engine (engine::Engine);
 ///   "net"      the engine behind a real socket front-end (net/Server.h)
-///              — the workload is replayed by in-process clients over
-///              loopback TCP (or UDP), Wire-framed, through the full
-///              session/delivery path.
+///              — the workload is replayed by the socket client
+///              (net/Loadgen.h) over loopback TCP (or UDP), Wire-framed,
+///              through the full session/delivery path.
 ///
 /// A Run handle binds a Compilation to one backend; execute(RunOptions)
 /// realizes the *same* seeded ping workload (engine::TrafficGen over the
@@ -272,7 +272,7 @@ struct FaultReport {
 };
 
 /// Socket-layer summary of a net-backend run: the server's session and
-/// framing counters (net/Server.h) plus the replay clients' view.
+/// framing counters (net/Server.h) plus the replaying client's view.
 /// Enabled only on the "net" backend; zeroed elsewhere. Conservation
 /// invariant in Block mode (checked by scripts/check_report.py):
 /// DeliveryFrames + RingShed + DeliveryUnroutable + NonNetDeliveries ==
@@ -282,7 +282,7 @@ struct NetReport {
   std::string Poller; ///< readiness backend ("epoll" or "poll")
   bool Udp = false;
   uint16_t Port = 0; ///< bound TCP port (resolves an ephemeral request)
-  uint64_t Connections = 0; ///< replay client connections
+  uint64_t Connections = 0; ///< client connections made (serve: accepts)
   uint64_t Accepted = 0;    ///< TCP accepts + distinct UDP peers
   uint64_t Closed = 0;
   uint64_t ProtocolErrors = 0;
@@ -300,7 +300,7 @@ struct NetReport {
   uint64_t NonNetDeliveries = 0;   ///< deliveries without a conn tag
   uint64_t BarriersAcked = 0;
   uint64_t UdpDatagrams = 0;
-  uint64_t ClientDelivers = 0; ///< Deliver frames the clients received
+  uint64_t ClientDelivers = 0; ///< Deliver frames the client received
   uint64_t ClientReplies = 0;  ///< of those, echo replies
   /// Client-observed round trip (request sent to echo reply received).
   LatencyReport Rtt;

@@ -52,9 +52,8 @@ Workload TrafficGen::probes(unsigned Phases, unsigned PerPhase, HostId To) {
     Phase Ph;
     for (unsigned I = 0; I != PerPhase; ++I) {
       HostId From = randomHost();
-      Packet H = sim::makeWireHeader(From, To, sim::KindProbe, NextSeq++);
-      H.set(sim::probeField(), 1);
-      Ph.Injections.push_back({From, std::move(H)});
+      Ph.Injections.push_back(
+          {From, sim::makeWireHeader(From, To, sim::KindProbe, NextSeq++)});
     }
     W.Phases.push_back(std::move(Ph));
   }
@@ -79,7 +78,6 @@ Workload TrafficGen::churn(unsigned Phases, unsigned PerPhase,
       HostId To = Hosts[NextProbeDst++ % Hosts.size()];
       HostId From = randomHost();
       Packet H = sim::makeWireHeader(From, To, sim::KindProbe, NextSeq++);
-      H.set(sim::probeField(), 1);
       // Scatter the triggers through the storm instead of appending
       // them after it, so transitions race sustained traffic.
       size_t At = Ph.Injections.empty()
@@ -138,8 +136,7 @@ Workload TrafficGen::ping(HostId From, HostId To) {
 
 Workload TrafficGen::probe(HostId From, HostId To) {
   Workload W;
-  Packet H = sim::makeWireHeader(From, To, sim::KindProbe, NextSeq++);
-  H.set(sim::probeField(), 1);
-  W.Phases.push_back({{{From, std::move(H)}}});
+  W.Phases.push_back(
+      {{{From, sim::makeWireHeader(From, To, sim::KindProbe, NextSeq++)}}});
   return W;
 }

@@ -1,7 +1,8 @@
-//===- net/Loadgen.cpp - Multi-connection open-loop load generator --------===//
+//===- net/Loadgen.cpp - The socket client --------------------------------===//
 
 #include "net/Loadgen.h"
 
+#include "engine/TrafficGen.h"
 #include "net/Poller.h"
 #include "net/Session.h"
 #include "net/Socket.h"
@@ -31,12 +32,12 @@ class Loadgen : public Session::FrameHandler {
 public:
   Loadgen(const LoadgenConfig &Cfg, const std::atomic<bool> *Stop)
       : C(Cfg), Stop(Stop) {
-    if (C.Connections == 0)
-      C.Connections = 1;
-    if (C.Phases == 0)
-      C.Phases = 1;
-    if (C.Burst == 0)
-      C.Burst = 1;
+    if (C.Replay)
+      C.Phases = static_cast<unsigned>(C.Replay->Phases.size());
+    C.Connections = std::max(C.Connections, 1u);
+    C.Phases = std::max(C.Phases, 1u);
+    C.Burst = std::max(C.Burst, 1u);
+    plan();
   }
 
   LoadgenStats run();
@@ -47,8 +48,12 @@ private:
     std::unique_ptr<Session> S;
     HostId From = 0;
     HostId To = 0;
-    uint64_t Sent = 0;        ///< injects sent (also the seq counter)
-    uint64_t PhaseTarget = 0; ///< cumulative inject target this phase
+    uint64_t Sent = 0;   ///< injects sent (the Barrier fence value)
+    uint64_t MaxSeq = 0; ///< largest seq sent; no reply may exceed it
+    /// Cumulative inject target at the end of each phase.
+    std::vector<uint64_t> PhaseEnd;
+    /// Replay: this connection's Inject frames, every phase in order.
+    std::vector<WireFrame> Script;
     unsigned ConnectAttempts = 0; ///< failed attempts so far
     int64_t NextConnectNs = 0;    ///< earliest time for the next attempt
     bool Connected = false;
@@ -65,6 +70,8 @@ private:
 
   bool onFrame(Session &S, const WireFrame &F) override;
 
+  void plan();
+  WireFrame nextInject(Client &Cl);
   void startConnect(size_t Idx);
   bool scheduleRetry(size_t Idx);
   void retryPending();
@@ -73,9 +80,6 @@ private:
   void flushClient(size_t Idx);
   void teardown(size_t Idx);
   void handleEvent(const Ready &Ev);
-  uint64_t phaseTarget(unsigned Ph) const {
-    return C.FramesPerConn * (Ph + 1) / C.Phases;
-  }
 
   LoadgenConfig C;
   const std::atomic<bool> *Stop;
@@ -88,6 +92,50 @@ private:
   bool DidWork = false;
   int64_t ConnectDeadlineNs = 0;
 };
+
+/// Splits the work over the connections: each one's cumulative inject
+/// target per phase and, in replay, its script (injection I of a phase
+/// goes out on connection I % Connections).
+void Loadgen::plan() {
+  Clients.resize(C.Connections);
+  for (unsigned P = 0; P != C.Phases; ++P) {
+    if (C.Replay && P < C.Replay->Phases.size()) {
+      const auto &Inj = C.Replay->Phases[P].Injections;
+      for (size_t I = 0; I != Inj.size(); ++I) {
+        const netkat::Packet &H = Inj[I].Header;
+        WireFrame F;
+        F.T = WireFrame::Inject;
+        F.A = static_cast<uint32_t>(H.getOr(sim::ipSrcField(), Inj[I].From));
+        F.B = static_cast<uint32_t>(H.getOr(sim::ipDstField(), 0));
+        F.Kind = static_cast<uint32_t>(H.getOr(sim::kindField(), 0));
+        F.Seq = static_cast<uint64_t>(H.getOr(sim::seqField(), 0));
+        Clients[I % Clients.size()].Script.push_back(F);
+      }
+    }
+    for (Client &Cl : Clients)
+      Cl.PhaseEnd.push_back(C.Replay ? Cl.Script.size()
+                                     : C.FramesPerConn * (P + 1) / C.Phases);
+  }
+}
+
+/// The connection's next Inject frame: the next one of its replay
+/// script, or in the open loop a fresh echo request between the hosts
+/// its HelloAck named.
+WireFrame Loadgen::nextInject(Client &Cl) {
+  WireFrame F;
+  if (C.Replay) {
+    F = Cl.Script[Cl.Sent];
+  } else {
+    F.T = WireFrame::Inject;
+    F.A = Cl.From;
+    F.B = Cl.To;
+    F.Kind = static_cast<uint32_t>(sim::KindRequest);
+    F.Seq = Cl.Sent + 1;
+  }
+  ++Cl.Sent;
+  Cl.MaxSeq = std::max(Cl.MaxSeq, F.Seq);
+  return F;
+}
 
 void Loadgen::startConnect(size_t Idx) {
   Client &Cl = Clients[Idx];
@@ -106,7 +154,6 @@ void Loadgen::startConnect(size_t Idx) {
   SC.Role = SessionRole::Client;
   SC.Overload = engine::OverloadPolicy::Block;
   Cl.S = std::make_unique<Session>(Idx, SC);
-  Cl.PhaseTarget = phaseTarget(0);
   // Write interest reports connect completion (TCP); UDP is ready now.
   Poll.add(Fd, Idx, /*Read=*/true, /*Write=*/true);
   Cl.WriteArmed = true;
@@ -159,7 +206,7 @@ bool Loadgen::onFrame(Session &S, const WireFrame &F) {
     if (F.Kind != static_cast<uint32_t>(sim::KindReply))
       return true; // the request's own delivery at the far host
     ++St.Replies;
-    if (F.Seq == 0 || F.Seq > Cl.Sent) {
+    if (F.Seq == 0 || F.Seq > Cl.MaxSeq) {
       ++St.SeqMismatches; // an echo we never sent
       return true;
     }
@@ -193,24 +240,22 @@ void Loadgen::drive() {
     if (Cl.Dead || !Cl.Handshaken || Cl.ByeSent ||
         Cl.S->state() == Session::State::Closed)
       continue;
-    // Open loop with bounded buffering: keep at most two bursts queued
-    // locally; the socket (and the server's overload policy) absorb the
-    // rest of the pressure.
-    if (Cl.Sent < Cl.PhaseTarget) {
+    // Bounded buffering: keep at most two bursts queued locally; the
+    // socket (and the server's overload policy) absorb the rest of the
+    // pressure.
+    uint64_t Target = Cl.PhaseEnd[Phase];
+    if (Cl.Sent < Target) {
       if (Cl.S->egressDepth() < 2 * C.Burst) {
-        uint64_t Quota = std::min<uint64_t>(C.Burst, Cl.PhaseTarget - Cl.Sent);
+        uint64_t Quota = std::min<uint64_t>(C.Burst, Target - Cl.Sent);
         for (uint64_t K = 0; K != Quota; ++K) {
-          WireFrame F;
-          F.T = WireFrame::Inject;
-          F.A = Cl.From;
-          F.B = Cl.To;
-          F.Kind = static_cast<uint32_t>(sim::KindRequest);
-          F.Seq = ++Cl.Sent;
+          WireFrame F = nextInject(Cl);
           Cl.S->enqueue(F);
           ++St.InjectsSent;
+          // Only echo requests come back; other kinds would fill the cap.
           if (C.RttSampleEvery && Cl.Sent % C.RttSampleEvery == 0 &&
+              F.Kind == static_cast<uint32_t>(sim::KindRequest) &&
               Cl.RttPending.size() < 4096)
-            Cl.RttPending.push_back({Cl.Sent, nowNs()});
+            Cl.RttPending.push_back({F.Seq, nowNs()});
         }
         DidWork = true;
       }
@@ -263,11 +308,8 @@ void Loadgen::advancePhase() {
   }
   ++Phase;
   for (Client &Cl : Clients) {
-    if (Cl.Dead)
-      continue;
     Cl.BarrierSent = false;
     Cl.BarrierAcked = false;
-    Cl.PhaseTarget = phaseTarget(Phase);
   }
 }
 
@@ -396,7 +438,6 @@ LoadgenStats Loadgen::run() {
   ConnectDeadlineNs =
       Start + static_cast<int64_t>(C.ConnectTimeoutMs) * 1000000;
 
-  Clients.resize(C.Connections);
   for (size_t I = 0; I != Clients.size(); ++I)
     startConnect(I);
 
@@ -410,8 +451,12 @@ LoadgenStats Loadgen::run() {
       }
     if (!AnyAlive)
       break;
-    if (nowNs() > Deadline || (Stop && Stop->load(std::memory_order_relaxed))) {
-      St.TimedOut = nowNs() > Deadline;
+    if (Stop && Stop->load(std::memory_order_relaxed)) {
+      St.Stopped = true;
+      break;
+    }
+    if (nowNs() > Deadline) {
+      St.TimedOut = true;
       break;
     }
     retryPending();

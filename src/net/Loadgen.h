@@ -1,4 +1,4 @@
-//===- net/Loadgen.h - Multi-connection open-loop load generator *- C++ -*-===//
+//===- net/Loadgen.h - The socket client ------------------------*- C++ -*-===//
 //
 // Part of the eventnet project (PLDI 2016 "Event-Driven Network
 // Programming" reproduction).
@@ -6,16 +6,26 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The client half of the net backend: one poller-driven thread that
-/// emulates up to tens of thousands of client hosts over loopback or a
-/// real NIC. Each connection handshakes (Hello/HelloAck gives it a
-/// source host, a destination host, and a conn id), then streams echo
-/// requests open-loop in bursts, fences each workload phase with a
-/// Barrier, samples round-trip times into an obs histogram, and
-/// validates the echoed deliveries (every reply's sequence number must
-/// have been sent; replies and request deliveries are counted per
-/// kind). TCP by default; --udp swaps every connection for a connected
-/// UDP socket speaking the same framing, one-or-more whole frames per
+/// The one client of the sim/Wire.h protocol: one poller-driven thread
+/// that emulates up to tens of thousands of client hosts over loopback
+/// or a real NIC. Each connection handshakes (Hello/HelloAck gives it a
+/// source host, a destination host, and a conn id), then sends its
+/// Inject frames in bursts, fences each phase with a Barrier, samples
+/// echo round-trip times into an obs histogram, and validates the
+/// echoed deliveries (every reply's sequence number must have been
+/// sent; replies and request deliveries are counted per kind).
+///
+/// Two sources of Inject frames share every other step:
+///   - the open loop (eventnet_loadgen, bench/net_throughput): each
+///     connection synthesizes FramesPerConn echo requests to its
+///     HelloAck's hosts, split evenly over Phases;
+///   - replay (the "net" backend): LoadgenConfig::Replay's phased
+///     workload, injection I of each phase on connection
+///     I % Connections, so the socket path runs the same seeded
+///     workload as every other substrate.
+///
+/// TCP by default; Udp swaps every connection for a connected UDP
+/// socket speaking the same framing, one-or-more whole frames per
 /// datagram.
 ///
 //===----------------------------------------------------------------------===//
@@ -30,6 +40,10 @@
 #include <string>
 
 namespace eventnet {
+namespace engine {
+struct Workload;
+} // namespace engine
+
 namespace net {
 
 struct LoadgenConfig {
@@ -39,16 +53,19 @@ struct LoadgenConfig {
   unsigned Connections = 8;
   /// UDP instead of TCP (one connected socket per connection).
   bool Udp = false;
-  /// Echo requests each connection sends, total across all phases.
+  /// Open loop: echo requests each connection sends, total across all
+  /// phases.
   uint64_t FramesPerConn = 128;
-  /// Frames serialized per connection per loop pass (open-loop burst).
+  /// Inject frames queued per connection per loop pass (the burst); a
+  /// connection keeps at most two bursts queued locally.
   unsigned Burst = 32;
-  /// Barrier-fenced rounds the workload is split into.
+  /// Open loop: Barrier-fenced rounds the requests are split into.
   unsigned Phases = 1;
-  /// Workload seed: varies each connection's sequence offsets so two
-  /// runs exercise different interleavings deterministically.
+  /// Seeds the Hello nonces (seed + connection index; the server ignores
+  /// them).
   uint64_t Seed = 1;
-  /// Sample every Nth frame's round trip (1 = all; 0 disables).
+  /// Sample the round trip of every Nth Inject frame (1 = all; 0
+  /// disables) that is an echo request; other kinds get no reply.
   unsigned RttSampleEvery = 16;
   /// Abort (TimedOut) if the run has not finished within this budget.
   unsigned TimeoutMs = 60000;
@@ -58,13 +75,18 @@ struct LoadgenConfig {
   /// count as ConnectFailed. Absorbs the race of starting the load
   /// generator before the server's listener is up.
   unsigned ConnectTimeoutMs = 5000;
+  /// Replays this workload instead of the open loop (null: open loop).
+  /// Its phases replace Phases and FramesPerConn; each injection goes
+  /// out as an Inject frame with A = ip_src (or the injecting host),
+  /// B = ip_dst, and the header's kind and seq. Must outlive the run.
+  const engine::Workload *Replay = nullptr;
 };
 
 struct LoadgenStats {
   uint64_t Connected = 0;
   uint64_t ConnectFailed = 0;  ///< gave up after the connect budget
   uint64_t ConnectRetries = 0; ///< backoff retries taken (any outcome)
-  uint64_t InjectsSent = 0; ///< echo requests sent
+  uint64_t InjectsSent = 0; ///< Inject frames sent
   uint64_t FramesSent = 0;  ///< all frames (injects + barriers + byes...)
   uint64_t Delivers = 0;    ///< Deliver frames received (any kind)
   uint64_t Replies = 0;     ///< of those, echo replies (KindReply)
@@ -75,12 +97,13 @@ struct LoadgenStats {
   uint64_t BytesReceived = 0;
   double ElapsedSec = 0;
   bool TimedOut = false;
+  bool Stopped = false; ///< cut short by the caller's stop flag
   /// Round-trip samples, nanoseconds.
   obs::HistogramSnapshot RttNs;
 
   bool ok() const {
-    return !TimedOut && ProtocolErrors == 0 && SeqMismatches == 0 &&
-           ConnectFailed == 0;
+    return !TimedOut && !Stopped && ProtocolErrors == 0 &&
+           SeqMismatches == 0 && ConnectFailed == 0;
   }
 };
 

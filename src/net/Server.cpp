@@ -40,6 +40,17 @@ uint64_t udpKey(uint32_t Ip, uint16_t Port) {
 /// Whole frames per UDP datagram: stay under a conservative MTU.
 constexpr size_t UdpFramesPerDatagram = 48;
 
+/// Folds one session's frame and byte counters into \p Into.
+void addCounters(ServerStats &Into, const Session &S) {
+  const SessionCounters &Ct = S.counters();
+  Into.FramesIn += Ct.FramesIn;
+  Into.FramesOut += Ct.FramesOut;
+  Into.BytesIn += Ct.BytesIn;
+  Into.BytesOut += Ct.BytesOut;
+  Into.ReassemblyPartial += Ct.ReassemblyPartial;
+  Into.BackpressureShed += Ct.EgressShed;
+}
+
 } // namespace
 
 Server::Server(ServerConfig Cfg) : C(std::move(Cfg)) {
@@ -295,22 +306,12 @@ void Server::markDirty(uint64_t Conn) {
   }
 }
 
-void Server::absorbCounters(const Session &S) {
-  const SessionCounters &Ct = S.counters();
-  Totals.FramesIn += Ct.FramesIn;
-  Totals.FramesOut += Ct.FramesOut;
-  Totals.BytesIn += Ct.BytesIn;
-  Totals.BytesOut += Ct.BytesOut;
-  Totals.ReassemblyPartial += Ct.ReassemblyPartial;
-  Totals.BackpressureShed += Ct.EgressShed;
-}
-
 void Server::teardownTcp(uint64_t Conn, bool CountClosed) {
   auto It = Tcp.find(Conn);
   if (It == Tcp.end())
     return;
   Poll.del(It->second.Sock.get());
-  absorbCounters(*It->second.S);
+  addCounters(Totals, *It->second.S);
   Tcp.erase(It);
   if (CountClosed)
     ++Totals.Closed;
@@ -376,7 +377,7 @@ void Server::udpReady() {
       continue;
     if (!It->second.S->ingest(Buf, static_cast<size_t>(N), *this)) {
       ++Totals.ProtocolErrors;
-      absorbCounters(*It->second.S);
+      addCounters(Totals, *It->second.S);
       Udp.erase(It);
       UdpByKey.erase(Key);
       ++Totals.Closed;
@@ -518,7 +519,7 @@ void Server::flushWrites() {
       DirtyConns.push_back(Conn); // UDP buffer was full: retry
     } else if (Iu->second.S->state() == Session::State::Draining) {
       UdpByKey.erase(udpKey(Iu->second.Ip, Iu->second.Prt));
-      absorbCounters(*Iu->second.S);
+      addCounters(Totals, *Iu->second.S);
       Udp.erase(Iu);
       ++Totals.Closed;
     }
@@ -600,7 +601,7 @@ void Server::serve(const std::atomic<bool> &Stop) {
     teardownTcp(Conn, true);
   for (auto &[Conn, P] : Udp) {
     (void)Conn;
-    absorbCounters(*P.S);
+    addCounters(Totals, *P.S);
     ++Totals.Closed;
   }
   Udp.clear();
@@ -611,23 +612,11 @@ ServerStats Server::stats() const {
   ServerStats S = Totals;
   for (const auto &[Conn, T] : Tcp) {
     (void)Conn;
-    const SessionCounters &Ct = T.S->counters();
-    S.FramesIn += Ct.FramesIn;
-    S.FramesOut += Ct.FramesOut;
-    S.BytesIn += Ct.BytesIn;
-    S.BytesOut += Ct.BytesOut;
-    S.ReassemblyPartial += Ct.ReassemblyPartial;
-    S.BackpressureShed += Ct.EgressShed;
+    addCounters(S, *T.S);
   }
   for (const auto &[Conn, P] : Udp) {
     (void)Conn;
-    const SessionCounters &Ct = P.S->counters();
-    S.FramesIn += Ct.FramesIn;
-    S.FramesOut += Ct.FramesOut;
-    S.BytesIn += Ct.BytesIn;
-    S.BytesOut += Ct.BytesOut;
-    S.ReassemblyPartial += Ct.ReassemblyPartial;
-    S.BackpressureShed += Ct.EgressShed;
+    addCounters(S, *P.S);
   }
   uint64_t RS = RingShed.get();
   S.RingShed = RS;

@@ -162,7 +162,6 @@ private:
   void flushUdp(UdpPeer &P);
   void teardownTcp(uint64_t Conn, bool CountClosed);
   void teardownTcpFlushing(uint64_t Conn);
-  void absorbCounters(const Session &S);
   void sendFrame(Session &S, const sim::WireFrame &F);
   void markDirty(uint64_t Conn);
   Session *sessionOf(uint64_t Conn);

@@ -11,9 +11,8 @@ using eventnet::consistency::TraceEntry;
 using eventnet::netkat::Packet;
 
 namespace {
-// Shorthands for the shared wire-format fields (sim/Wire.h).
+// Shorthand for the shared wire-format field (sim/Wire.h).
 FieldId ipDst() { return sim::ipDstField(); }
-FieldId probeF() { return sim::probeField(); }
 } // namespace
 
 double Simulation::FlowStats::goodputBps() const {
@@ -61,11 +60,6 @@ unsigned Simulation::overheadBytes() const {
     return P.OverheadBytes;
   // 2B tag + 2B shim header + the event-digest bitmap.
   return 4 + (N.numEvents() + 7) / 8;
-}
-
-Packet Simulation::makeHeader(HostId From, HostId To, Value Kind,
-                              uint64_t Seq) {
-  return makeWireHeader(From, To, Kind, Seq);
 }
 
 //===----------------------------------------------------------------------===//
@@ -376,7 +370,7 @@ void Simulation::deliverToHost(HostId H, SimPacket Pk) {
     if (Src < 0)
       return;
     schedule(Now + P.HostDelaySec, [this, H, Src, Seq] {
-      hostSend(H, makeHeader(H, static_cast<HostId>(Src), KindReply, Seq),
+      hostSend(H, makeWireHeader(H, static_cast<HostId>(Src), KindReply, Seq),
                P.AckBytes);
     });
     return;
@@ -406,7 +400,7 @@ void Simulation::deliverToHost(HostId H, SimPacket Pk) {
     if (Src >= 0) {
       uint64_t Seq = static_cast<uint64_t>(Pk.Pkt.getOr(seqField(), 0));
       schedule(Now + P.HostDelaySec, [this, H, Src, Seq] {
-        Packet Ack = makeHeader(H, static_cast<HostId>(Src), KindAck, Seq);
+        Packet Ack = makeWireHeader(H, static_cast<HostId>(Src), KindAck, Seq);
         hostSend(H, Ack, P.AckBytes);
       });
     }
@@ -447,7 +441,7 @@ void Simulation::schedulePing(double At, HostId From, HostId To,
     Pings.push_back(R);
     size_t Idx = Pings.size() - 1;
     AwaitingReply[Seq] = Idx;
-    hostSend(From, makeHeader(From, To, KindRequest, Seq), P.AckBytes);
+    hostSend(From, makeWireHeader(From, To, KindRequest, Seq), P.AckBytes);
     schedule(Now + Timeout, [this, Seq] { AwaitingReply.erase(Seq); });
   });
 }
@@ -461,9 +455,7 @@ void Simulation::scheduleInjection(double At, HostId From,
 
 void Simulation::scheduleProbe(double At, HostId From, HostId To) {
   schedule(At, [this, From, To] {
-    Packet H = makeHeader(From, To, KindProbe, 0);
-    H.set(probeF(), 1);
-    hostSend(From, std::move(H), P.AckBytes);
+    hostSend(From, makeWireHeader(From, To, KindProbe, 0), P.AckBytes);
   });
 }
 
@@ -473,7 +465,7 @@ void Simulation::scheduleUdpFlow(double Start, double End, HostId From,
   for (double At = Start; At < End; At += Interval)
     schedule(At, [this, From, To] {
       ++Flow.PktsSent;
-      Packet H = makeHeader(From, To, KindData, 0);
+      Packet H = makeWireHeader(From, To, KindData, 0);
       hostSend(From, std::move(H), P.PayloadBytes);
     });
 }
@@ -496,7 +488,7 @@ void Simulation::tcpTrySend(size_t FlowIdx) {
     uint64_t Seq = T.NextSeq++;
     T.InFlight[Seq] = Now;
     ++Flow.PktsSent;
-    Packet H = makeHeader(T.From, T.To, KindData, Seq);
+    Packet H = makeWireHeader(T.From, T.To, KindData, Seq);
     hostSend(T.From, std::move(H), P.PayloadBytes);
     double Rto = std::max(4 * T.RttEstimate, 0.05);
     schedule(Now + Rto, [this, FlowIdx, Seq] { tcpOnTimeout(FlowIdx, Seq); });

@@ -236,8 +236,6 @@ private:
   void noteSwitchLearned(SwitchId Sw, const DenseBitSet &Before,
                          const DenseBitSet &After);
   unsigned overheadBytes() const;
-  netkat::Packet makeHeader(HostId From, HostId To, Value Kind,
-                            uint64_t Seq);
 
   // TCP helpers.
   void tcpTrySend(size_t FlowIdx);

@@ -50,6 +50,8 @@ void sim::fillWireHeader(Packet &H, HostId From, HostId To, Value Kind,
   H.set(ipSrcField(), static_cast<Value>(From));
   H.set(kindField(), Kind);
   H.set(seqField(), static_cast<Value>(Seq));
+  if (Kind == KindProbe)
+    H.set(probeField(), 1);
 }
 
 //===----------------------------------------------------------------------===//

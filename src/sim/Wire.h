@@ -39,14 +39,18 @@ FieldId ipSrcField();
 FieldId ipDstField();
 FieldId kindField(); ///< one of the Kind* values above
 FieldId seqField();
-FieldId probeField(); ///< set to 1 on event-trigger probes
+/// 1 on event-trigger probes. makeWireHeader sets it from the kind, so
+/// a probe keeps it wherever its header is rebuilt (an Inject frame
+/// carries only hosts, kind and seq).
+FieldId probeField();
 /// Session tag stamped by the net server on ingested frames: tables never
 /// match on it, actions never rewrite it, so it rides every hop and lets
 /// the delivery path route a packet back to the connection that emitted
 /// it. Absent on packets that did not enter through a socket.
 FieldId connField();
 
-/// Builds a bare application header From -> To of the given kind.
+/// Builds a bare application header From -> To of the given kind:
+/// ip_src, ip_dst, kind and seq, plus probe = 1 when Kind is KindProbe.
 netkat::Packet makeWireHeader(HostId From, HostId To, Value Kind,
                               uint64_t Seq);
 
@@ -114,9 +118,9 @@ struct WireFrame {
     Deliver = 4,
     /// Client -> server: done, drain and forget me.
     Bye = 5,
-    /// Client -> server phase fence; Seq = cumulative frames the client
-    /// has sent so far. Acked only once the server has ingested that
-    /// many frames and the engine has quiesced.
+    /// Client -> server phase fence; Seq = cumulative Inject frames the
+    /// client has sent so far. Acked only once the server has ingested
+    /// that many frames and the engine has quiesced.
     Barrier = 6,
     /// Server -> client; Seq echoed from the Barrier.
     BarrierAck = 7,

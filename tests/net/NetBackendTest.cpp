@@ -182,3 +182,27 @@ TEST(NetBackend, RejectsSillyConnectionCounts) {
   ASSERT_FALSE(R.ok());
   EXPECT_EQ(R.status().code(), Code::InvalidArgument);
 }
+
+TEST(NetBackend, ChurnProbesFireEventsLikeTheEngine) {
+  // The churn workload's triggers are KindProbe packets, which the
+  // program's events match by probe = 1. An Inject frame carries only
+  // hosts, kind and seq, so the server's rebuilt header must stamp the
+  // bit from the kind, or no replayed probe fires an event.
+  apps::App A = apps::ringApp(8, 3);
+  Result<Compilation> C =
+      compile(CompileOptions().programAst(A.Ast).topology(A.Topo));
+  ASSERT_TRUE(C.ok()) << C.status().str();
+
+  RunOptions O = RunOptions().seed(3).phases(4).pingsPerPhase(16)
+                     .workload("churn").churnRate(2);
+  Result<RunReport> Eng = run(*C, "engine", O);
+  Result<RunReport> Net = run(*C, "net", O);
+  ASSERT_TRUE(Eng.ok()) << Eng.status().str();
+  ASSERT_TRUE(Net.ok()) << Net.status().str();
+
+  EXPECT_GE(Eng->EventsDetected, 1u);
+  EXPECT_EQ(Net->EventsDetected, Eng->EventsDetected);
+  EXPECT_EQ(Net->Net.ProtocolErrors, 0u);
+  ASSERT_TRUE(Net->Checked);
+  EXPECT_TRUE(Net->Consistency.Correct) << Net->Consistency.Reason;
+}

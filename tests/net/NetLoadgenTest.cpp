@@ -224,3 +224,23 @@ TEST(NetLoadgen, ManyConnections) {
   EXPECT_EQ(SS.Closed, 64u);
   EXPECT_EQ(SS.FramesInjected, S.InjectsSent);
 }
+
+TEST(NetLoadgen, StoppedRunIsNotOk) {
+  // A run the caller's stop flag cut short did not do its work: it is
+  // neither a timeout nor ok.
+  Loopback L;
+  ASSERT_TRUE(L.C.ok()) << L.C.status().str();
+  ASSERT_TRUE(L.Opened);
+
+  net::LoadgenConfig LC;
+  LC.Port = L.Srv.port();
+  LC.Connections = 4;
+  std::atomic<bool> Stop{true};
+  net::LoadgenStats S = net::runLoadgen(LC, &Stop);
+  L.shutdown();
+
+  EXPECT_TRUE(S.Stopped);
+  EXPECT_FALSE(S.TimedOut);
+  EXPECT_FALSE(S.ok());
+  EXPECT_EQ(S.InjectsSent, 0u);
+}

@@ -4,8 +4,8 @@
 // concurrent Wire-framed connections: open-loop bursts of echo requests,
 // Barrier-fenced phases, RTT sampling, and validation of the echoed
 // deliveries. Prints a summary (or --json) and exits nonzero if the run
-// failed (connect failures, protocol errors, sequence mismatches, or
-// timeout).
+// failed (connect failures, protocol errors, sequence mismatches, a
+// timeout, or a SIGINT/SIGTERM that cut it short: "stopped" in --json).
 //
 // Usage:
 //   eventnet_loadgen --port N [--host H] [--udp] [--connections N]
@@ -100,7 +100,8 @@ int main(int argc, char **argv) {
   if (!HavePort)
     return usage();
 
-  // SIGINT aborts the run but still prints what was measured.
+  // SIGINT aborts the run (a failure) but still prints what was
+  // measured.
   net::installShutdownHandlers();
   net::LoadgenStats S = net::runLoadgen(C, &net::shutdownRequested());
 
@@ -114,6 +115,7 @@ int main(int argc, char **argv) {
            "\"protocol_errors\": %llu, \"bytes_sent\": %llu, "
            "\"bytes_received\": %llu, \"elapsed_sec\": %.6f, "
            "\"injects_per_sec\": %.0f, \"timed_out\": %s, "
+           "\"stopped\": %s, "
            "\"rtt_samples\": %llu, \"rtt_p50_us\": %.3f, "
            "\"rtt_p99_us\": %.3f, \"rtt_max_us\": %.3f, \"ok\": %s}\n",
            (unsigned long long)S.Connected,
@@ -126,7 +128,7 @@ int main(int argc, char **argv) {
            (unsigned long long)S.ProtocolErrors,
            (unsigned long long)S.BytesSent,
            (unsigned long long)S.BytesReceived, S.ElapsedSec, Rate,
-           S.TimedOut ? "true" : "false",
+           S.TimedOut ? "true" : "false", S.Stopped ? "true" : "false",
            (unsigned long long)S.RttNs.TotalCount,
            S.RttNs.percentile(0.5) / 1e3, S.RttNs.percentile(0.99) / 1e3,
            S.RttNs.Max / 1e3, S.ok() ? "true" : "false");
@@ -153,14 +155,14 @@ int main(int argc, char **argv) {
              "(%llu samples)\n",
              S.RttNs.percentile(0.5) / 1e3, S.RttNs.percentile(0.99) / 1e3,
              S.RttNs.Max / 1e3, (unsigned long long)S.RttNs.TotalCount);
-    if (S.ConnectFailed || S.ProtocolErrors || S.SeqMismatches || S.TimedOut)
+    if (!S.ok())
       printf("  FAILED:   %llu connect failures (after %llu retries over "
-             "%u ms), %llu protocol errors, %llu seq mismatches%s\n",
+             "%u ms), %llu protocol errors, %llu seq mismatches%s%s\n",
              (unsigned long long)S.ConnectFailed,
              (unsigned long long)S.ConnectRetries, C.ConnectTimeoutMs,
              (unsigned long long)S.ProtocolErrors,
              (unsigned long long)S.SeqMismatches,
-             S.TimedOut ? ", timed out" : "");
+             S.TimedOut ? ", timed out" : "", S.Stopped ? ", stopped" : "");
   }
   return S.ok() ? 0 : 1;
 }
