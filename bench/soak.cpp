@@ -125,7 +125,7 @@ SoakOut soakRun(const nes::Nes &N, const topo::Topology &Topo,
   Out.Hops = S.PacketsProcessed;
   Out.ElapsedSec = S.ElapsedSec;
   if (Col)
-    Out.Stream = Col->finalize(S.TraceDropped);
+    Out.Stream = Col->finalize();
   return Out;
 }
 

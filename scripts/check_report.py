@@ -63,8 +63,7 @@ def main() -> None:
         "elapsed_sec", "trace_entries", "shard_detail", "consistency",
         "update_lat_samples", "update_lat_p50", "update_lat_p90",
         "update_lat_p99", "update_lat_max", "queue_dwell",
-        "batch_occupancy", "drop_audit", "obs_trace_recorded",
-        "obs_trace_dropped", "overload", "faults", "net",
+        "batch_occupancy", "drop_audit", "overload", "faults", "net",
         "streaming_check",
     ]
     for key in required:

@@ -84,14 +84,13 @@ detail::runEngine(const Compilation &C, const RunOptions &O,
   Cfg.BatchSize = O.Batch;
   Cfg.Partition = EC.Partition;
   Cfg.LatencyHistograms = O.LatencyHistograms;
-  Cfg.TraceEventCapacity = O.TraceCapacity;
   Cfg.Overload = EC.Overload;
   Cfg.DeliverySink = std::move(Sink);
   // Streaming verification trades the O(run) merged trace for the
   // O(window) online checker; differential mode keeps both so the two
-  // verdicts can be compared.
+  // verdicts can be compared, and a timeline is read from the trace.
   Cfg.StreamTrace = O.StreamingCheck;
-  Cfg.RecordTrace = !O.StreamingCheck || O.CheckDifferential;
+  Cfg.RecordTrace = !O.StreamingCheck || O.CheckDifferential || O.Timeline;
   if (Inj)
     Cfg.Faults = &*Inj;
   engine::Engine E(C.structure(), C.topology(), Cfg);
@@ -141,8 +140,8 @@ detail::runEngine(const Compilation &C, const RunOptions &O,
   R.UpdateLatency = toReport(S.Transition);
   R.QueueDwell = toReport(S.QueueDwell);
   R.BatchOccupancy = toReport(S.BatchOccupancy);
-  R.TraceRecorded = S.TraceRecorded;
-  R.TraceDropped = S.TraceDropped;
+  if (O.Timeline)
+    R.ObsTrace = E.timeline(); // reads the trace and ledger taken below
   faults::FaultLedger L = E.takeFaultLedger();
   if (Inj) {
     R.Faults.Enabled = true;
@@ -162,12 +161,11 @@ detail::runEngine(const Compilation &C, const RunOptions &O,
   // tickets must be excusable for Definition 6 verification.
   R.FaultCtx.ExcusedEntries = std::move(L.ExcusedEntries);
   R.FaultCtx.DupEntries = std::move(L.DupEntries);
-  R.ObsTrace = E.takeObsTrace();
   R.Trace = E.takeTrace();
   if (Col) {
     R.StreamCheck.Enabled = true;
     R.StreamCheck.Window = SO.Window;
-    R.StreamCheck.Result = Col->finalize(S.TraceDropped);
+    R.StreamCheck.Result = Col->finalize();
     R.StreamCheck.StreamShed = Col->lagShed();
   }
   return R;

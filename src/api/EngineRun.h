@@ -44,7 +44,7 @@ Result<EngineChoice> parseEngineOptions(const RunOptions &O);
 /// asks for, calls \p Drive — which starts the engine and does the entry
 /// point's own work — then finishes the engine and returns the engine
 /// half of the report: counters, latency digests, fault summary and
-/// checker context, obs timeline, network trace and streaming verdict.
+/// checker context, timeline, network trace and streaming verdict.
 Result<RunReport>
 runEngine(const Compilation &C, const RunOptions &O, const EngineChoice &EC,
           std::function<void(HostId, const netkat::Packet &)> Sink,

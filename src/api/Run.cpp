@@ -275,9 +275,6 @@ std::string RunReport::str() const {
        << static_cast<uint64_t>(BatchOccupancy.P99Sec) << ", max "
        << static_cast<uint64_t>(BatchOccupancy.MaxSec) << " msgs/batch\n";
   }
-  if (TraceRecorded > 0 || TraceDropped > 0)
-    OS << "  obs trace:    " << TraceRecorded << " events recorded, "
-       << TraceDropped << " dropped\n";
   if (Net.Enabled) {
     OS << "  net:          " << (Net.Udp ? "udp" : "tcp") << " over "
        << Net.Poller << " port " << Net.Port << ", " << Net.Connections
@@ -425,8 +422,6 @@ std::string RunReport::json() const {
      << ", \"rtt_p50\": " << Net.Rtt.P50Sec
      << ", \"rtt_p99\": " << Net.Rtt.P99Sec
      << ", \"rtt_max\": " << Net.Rtt.MaxSec << "}"
-     << ", \"obs_trace_recorded\": " << TraceRecorded
-     << ", \"obs_trace_dropped\": " << TraceDropped
      << ", \"trace_entries\": " << Trace.size() << ", \"shard_detail\": [";
   for (size_t I = 0; I != ShardDetail.size(); ++I) {
     const ShardReport &D = ShardDetail[I];

@@ -40,7 +40,7 @@
 #include "consistency/Trace.h"
 #include "engine/TrafficGen.h"
 #include "faults/FaultPlan.h"
-#include "obs/TraceRing.h"
+#include "obs/Perfetto.h"
 
 #include <atomic>
 #include <functional>
@@ -112,8 +112,8 @@ public:
     LatencyHistograms = V;
     return *this;
   }
-  RunOptions &traceEvents(size_t CapacityPerShard) {
-    TraceCapacity = CapacityPerShard;
+  RunOptions &timeline(bool V) {
+    Timeline = V;
     return *this;
   }
   RunOptions &metricsIntervalMs(unsigned V) {
@@ -188,9 +188,10 @@ public:
   /// histograms (obs/Histogram.h). Off by default — when off the hot
   /// loop takes no timestamps.
   bool LatencyHistograms = false;
-  /// Engine backend: per-shard obs trace-ring capacity in events
-  /// (obs/TraceRing.h); 0 (default) disables event tracing.
-  size_t TraceCapacity = 0;
+  /// Engine-based backends and serveNet: derive the run's Perfetto
+  /// timeline (RunReport::ObsTrace) from its trace log. The whole trace
+  /// is then kept, also under StreamingCheck, so this suits bounded runs.
+  bool Timeline = false;
   /// Engine-based backends and serveNet: periodic metrics-sampler
   /// interval in milliseconds; 0 (default) disables the sampler
   /// (obs/Sampler.h).
@@ -374,11 +375,9 @@ struct RunReport {
   /// duplicate trace entries); consumed by Run::execute.
   consistency::FaultContext FaultCtx;
 
-  /// obs event-trace totals and the merged timeline (engine backend
-  /// with RunOptions::TraceCapacity; else empty). Export with
-  /// obs::writePerfettoTrace.
-  uint64_t TraceRecorded = 0;
-  uint64_t TraceDropped = 0;
+  /// The run's timeline, derived from its trace log, fault ledger and
+  /// update stamps (engine-based backends with RunOptions::Timeline; else
+  /// empty). Export with obs::writePerfettoTrace.
   std::vector<obs::TraceEvent> ObsTrace;
 
   /// The recorded network trace (for replay and external checking).

@@ -55,19 +55,15 @@ void StreamCollector::loop() {
   }
 }
 
-consistency::StreamResult
-StreamCollector::finalize(uint64_t TraceDropped) {
+consistency::StreamResult StreamCollector::finalize() {
   Stop.store(true, std::memory_order_release);
   if (Th.joinable())
     Th.join();
-  Finalized = true;
   // The workers have exited (watermarks at their terminal value); one
   // last drain picks up whatever the loop's final iteration raced past.
   std::vector<engine::Engine::StreamItem> Buf;
   E.drainTraceStream(Buf);
   feed(Buf);
-  if (TraceDropped > 0)
-    Chk.noteCause("trace_dropped");
   // Entries the shards shed because this collector lagged behind the
   // data path (EngineConfig::StreamBufCap): the checker saw a gappy
   // trace, so a clean pass would be a lie — and finish()'s strict

@@ -44,11 +44,10 @@ public:
   StreamCollector &operator=(const StreamCollector &) = delete;
 
   /// Stops the poll loop, drains the stream tail, degrades the verdict
-  /// with "trace_dropped" if the obs ring lost \p TraceDropped events
-  /// mid-run (and with "stream_backlog" if the shards shed stream items
-  /// because this collector lagged), and returns the final verdict.
-  /// Call exactly once, after the engine has finished.
-  consistency::StreamResult finalize(uint64_t TraceDropped);
+  /// with "stream_backlog" if the shards shed stream items because this
+  /// collector lagged, and returns the final verdict. Call exactly once,
+  /// after the engine has finished.
+  consistency::StreamResult finalize();
 
   /// Stream items the engine shed at StreamBufCap because this
   /// collector fell behind; valid after finalize().
@@ -61,7 +60,6 @@ private:
   engine::Engine &E;
   consistency::StreamChecker Chk;
   std::atomic<bool> Stop{false};
-  bool Finalized = false;
   uint64_t LagShed = 0;
   std::thread Th;
 };

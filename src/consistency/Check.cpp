@@ -134,6 +134,7 @@ CheckResult consistency::checkUpdateSequence(
   }
 
   // --- Definition 2's three per-packet-trace conditions. ---
+  std::vector<NetworkTrace::Relatives> Rel = Tr.relativesOf(K);
   for (size_t C = 0; C != Chains.size(); ++C) {
     const std::vector<int> &Chain = Chains[C];
     const std::vector<size_t> &Member = Memberships[C];
@@ -149,8 +150,8 @@ CheckResult consistency::checkUpdateSequence(
     for (size_t I = 0; I != N; ++I) {
       bool AllBefore = true, AllAfter = true;
       for (int Idx : Chain) {
-        AllBefore &= Tr.happensBefore(Idx, K[I]);
-        AllAfter &= Tr.happensBefore(K[I], Idx);
+        AllBefore &= Rel[I].Before[Idx];
+        AllAfter &= Rel[I].After[Idx];
       }
       if (AllBefore) {
         bool HasEarly = false;

@@ -45,8 +45,6 @@
 ///    retired entry, FO older than the retirement frontier, per-event
 ///    guard-match queue overflow);
 ///  - out_of_order: an entry committed behind the ticket frontier;
-///  - trace_dropped: the producer lost trace events (reported by the
-///    embedder via noteCause, e.g. from the engine's bounded obs ring);
 ///  - stream_backlog: the collector fell behind the data path and the
 ///    engine shed stream items at its per-shard buffer cap (reported by
 ///    the embedder via noteCause; see EngineConfig::StreamBufCap) — the
@@ -165,7 +163,7 @@ public:
 
   /// Degrades the final verdict to inconclusive with \p Cause (unless a
   /// violation already won). Used by embedders for conditions the
-  /// checker cannot see itself, e.g. "trace_dropped".
+  /// checker cannot see itself.
   void noteCause(const std::string &Cause);
 
   /// Like noteCause, but additionally marks the feed as gappy: entries

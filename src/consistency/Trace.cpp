@@ -5,15 +5,22 @@
 #include <cassert>
 #include <map>
 #include <sstream>
+#include <utility>
 
 using namespace eventnet;
 using namespace eventnet::consistency;
+
+NetworkTrace::NetworkTrace(std::vector<TraceEntry> Es)
+    : Entries(std::move(Es)) {
+  for (size_t I = 0; I != Entries.size(); ++I)
+    assert(Entries[I].Parent < static_cast<int>(I) &&
+           "parent must precede child");
+}
 
 int NetworkTrace::append(TraceEntry E) {
   assert(E.Parent < static_cast<int>(Entries.size()) &&
          "parent must precede child");
   Entries.push_back(std::move(E));
-  ClosureValid = false;
   return static_cast<int>(Entries.size()) - 1;
 }
 
@@ -48,42 +55,57 @@ std::vector<std::vector<int>> NetworkTrace::packetTraces() const {
   return Out;
 }
 
-void NetworkTrace::buildClosure() const {
-  size_t N = Entries.size();
-  size_t Words = (N + 63) / 64;
-  Closure.assign(N, std::vector<uint64_t>(Words, 0));
-
-  // Direct edges: parent -> child, and per-switch consecutive order.
-  std::vector<std::vector<int>> Succ(N);
+std::vector<int> NetworkTrace::switchPredecessors() const {
+  std::vector<int> Prev(Entries.size(), -1);
   std::map<SwitchId, int> LastAtSwitch;
-  for (size_t I = 0; I != N; ++I) {
-    if (Entries[I].Parent >= 0)
-      Succ[Entries[I].Parent].push_back(static_cast<int>(I));
-    SwitchId Sw = Entries[I].Lp.sw();
-    auto It = LastAtSwitch.find(Sw);
-    if (It != LastAtSwitch.end())
-      Succ[It->second].push_back(static_cast<int>(I));
-    LastAtSwitch[Sw] = static_cast<int>(I);
+  for (size_t I = 0; I != Entries.size(); ++I) {
+    auto It = LastAtSwitch.try_emplace(Entries[I].Lp.sw(), -1).first;
+    Prev[I] = std::exchange(It->second, static_cast<int>(I));
   }
+  return Prev;
+}
 
-  // Both orders respect log order, so a single reverse sweep closes the
-  // relation: Closure[I] = union of {J} ∪ Closure[J] over successors J.
-  for (size_t I = N; I-- > 0;) {
-    for (int J : Succ[I]) {
-      Closure[I][J / 64] |= uint64_t(1) << (J % 64);
-      for (size_t W = 0; W != Words; ++W)
-        Closure[I][W] |= Closure[J][W];
-    }
-  }
-  ClosureValid = true;
+void NetworkTrace::markBefore(int K, int Stop, const std::vector<int> &Prev,
+                              std::vector<bool> &Mark) const {
+  // Sweeping down from K, each reached entry (K itself first) reaches
+  // its parent and its switch predecessor, both earlier in the log.
+  Mark.assign(Entries.size(), false);
+  auto Reach = [&](int I) {
+    for (int J : {Entries[I].Parent, Prev[I]})
+      if (J >= 0)
+        Mark[J] = true;
+  };
+  Reach(K);
+  for (int I = K - 1; I > Stop; --I)
+    if (Mark[I])
+      Reach(I);
 }
 
 bool NetworkTrace::happensBefore(int A, int B) const {
   assert(A >= 0 && B >= 0 && A < static_cast<int>(Entries.size()) &&
          B < static_cast<int>(Entries.size()) && "entry index out of range");
-  if (!ClosureValid)
-    buildClosure();
-  return (Closure[A][B / 64] >> (B % 64)) & 1;
+  if (A >= B)
+    return false;
+  std::vector<bool> Mark;
+  markBefore(B, A, switchPredecessors(), Mark);
+  return Mark[A];
+}
+
+std::vector<NetworkTrace::Relatives>
+NetworkTrace::relativesOf(const std::vector<int> &K) const {
+  std::vector<int> Prev = switchPredecessors();
+  std::vector<Relatives> Out(K.size());
+  for (size_t I = 0; I != K.size(); ++I) {
+    markBefore(K[I], -1, Prev, Out[I].Before);
+    // Sweeping up from K[I], an entry is reached when its parent or its
+    // switch predecessor is K[I] or already reached.
+    std::vector<bool> &After = Out[I].After;
+    After.assign(Entries.size(), false);
+    auto Reached = [&](int J) { return J >= 0 && (J == K[I] || After[J]); };
+    for (size_t J = K[I] + 1; J < Entries.size(); ++J)
+      After[J] = Reached(Entries[J].Parent) || Reached(Prev[J]);
+  }
+  return Out;
 }
 
 std::string NetworkTrace::str() const {

@@ -47,6 +47,11 @@ struct TraceEntry {
 /// The recorded network trace.
 class NetworkTrace {
 public:
+  NetworkTrace() = default;
+  /// Takes \p Entries as the whole log; every parent must precede its
+  /// child.
+  explicit NetworkTrace(std::vector<TraceEntry> Entries);
+
   /// Appends an entry; returns its index.
   int append(TraceEntry E);
 
@@ -58,21 +63,32 @@ public:
   std::vector<std::vector<int>> packetTraces() const;
 
   /// happens-before: Definition 1's least partial order. True if entry
-  /// \p A must precede entry \p B. Computed lazily; the first query
-  /// builds a reachability closure over the per-switch and per-trace
-  /// orders.
+  /// \p A must precede entry \p B: a backward sweep from B to A over the
+  /// per-trace and per-switch orders.
   bool happensBefore(int A, int B) const;
+
+  /// The entries that happen-before one entry, and those it
+  /// happens-before (both strict).
+  struct Relatives {
+    std::vector<bool> Before, After;
+  };
+  /// The Relatives of each entry \p K[I]. Both edge kinds of the order
+  /// (parent to child, and an entry at a switch to the next entry there)
+  /// point forward in log order, so one backward sweep from K[I] marks
+  /// its ancestors and one forward sweep its descendants: O(N) time and
+  /// 2N bits per K[I], where a full closure would take N^2 bits.
+  std::vector<Relatives> relativesOf(const std::vector<int> &K) const;
 
   std::string str() const;
 
 private:
-  void buildClosure() const;
+  /// The previous entry at each entry's switch, -1 for the first.
+  std::vector<int> switchPredecessors() const;
+  /// Marks the strict ancestors of \p K among the entries above \p Stop.
+  void markBefore(int K, int Stop, const std::vector<int> &Prev,
+                  std::vector<bool> &Mark) const;
 
   std::vector<TraceEntry> Entries;
-  /// Reachability bitsets: Closure[I] has bit J set iff I happens-before
-  /// J (strictly). Rebuilt when entries change.
-  mutable std::vector<std::vector<uint64_t>> Closure;
-  mutable bool ClosureValid = false;
 };
 
 } // namespace consistency

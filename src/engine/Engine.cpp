@@ -6,8 +6,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <tuple>
-#include <unordered_map>
 
 using namespace eventnet;
 using namespace eventnet::engine;
@@ -117,11 +115,9 @@ Engine::Engine(const nes::Nes &N, const topo::Topology &Topo,
     PresizePool(S->SelfProc);
     S->ClsOut.reserve(C.BatchSize);
     PresizePool(InjBufs.emplace_back());
-    // Observability state is allocated only when asked for: a disabled
-    // run carries null pointers and the recording sites reduce to one
+    // Latency histograms are allocated only when asked for: a disabled
+    // run carries a null pointer and the recording sites reduce to one
     // predictable branch.
-    if (C.TraceEventCapacity)
-      S->ObsRing = std::make_unique<obs::TraceRing>(C.TraceEventCapacity);
     if (C.LatencyHistograms)
       S->Lat = std::make_unique<ShardLatency>();
     if (C.Faults) {
@@ -227,9 +223,12 @@ int64_t Engine::logEntry(Shard &S, const Packet &Lp, int64_t Parent,
                          bool IsDelivery, nes::SetId Tag) {
   if (!C.RecordTrace && !C.StreamTrace)
     return -1;
+  // The time is taken only here, past the gate: with the log off the hot
+  // loop reads no clock for it.
   uint64_t Ticket = Tickets.fetch_add(1);
   S.Log.push_back({StreamItem::Entry, Ticket, Parent, Lp, IsDelivery,
-                   /*IsDup=*/false, Tag});
+                   /*IsDup=*/false, Tag,
+                   monotonicNs() - StartNs.load(std::memory_order_relaxed)});
   return static_cast<int64_t>(Ticket);
 }
 
@@ -300,14 +299,13 @@ void Engine::applyRegister(Shard &S, uint32_t Dense, const DenseBitSet &NewE) {
   // DetectNs and LearnNs are both raw monotonicNs(), so the Transition
   // digest is a pure difference on one time base. Registers only grow,
   // so a bit new to Sl.E is a first learn and its slot is still unset.
+  // Every call learns at least one event, all at this one stamp, so a
+  // switch's distinct learn stamps are its view swaps (timeline()).
   int64_t Now = monotonicNs();
   int64_t *Learn = &LearnNs[static_cast<size_t>(Dense) * N.numEvents()];
   NewE.forEach([&](unsigned E) {
-    if (!Sl.E.test(E)) {
+    if (!Sl.E.test(E))
       Learn[E] = Now;
-      obsRecord(S, obs::TraceKind::RegisterLearn,
-                static_cast<uint32_t>(Sl.Id), E);
-    }
   });
 
   Sl.E = NewE;
@@ -318,8 +316,6 @@ void Engine::applyRegister(Shard &S, uint32_t Dense, const DenseBitSet &NewE) {
   Sl.Published.store(new SwitchView{Sl.Tag, Sl.E, Old->Version + 1});
   S.Retired.retire(Old, Epochs.retireEpoch());
   S.Transitions.add();
-  obsRecord(S, obs::TraceKind::ConfigSwap, static_cast<uint32_t>(Sl.Id),
-            static_cast<uint32_t>(Old->Version + 1));
 }
 
 void Engine::pushDelta(uint32_t Target, unsigned E, const DenseBitSet &Ctx) {
@@ -358,8 +354,6 @@ void Engine::shedLocked(Shard &Dst, Msg &M) {
   } else {
     Dst.Injected.add();
   }
-  obsRecord(Dst, obs::TraceKind::Shed, Dst.Index,
-            static_cast<uint32_t>(M.K));
 }
 
 void Engine::overflowMsg(Shard &Dst, Msg &&M) {
@@ -397,8 +391,6 @@ void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
     S.Dropped.add();
     if (P.FromDup)
       DupDropped.add();
-    obsRecord(S, obs::TraceKind::Drop, static_cast<uint32_t>(At.Sw),
-              /*reason: dangling port*/ 1);
     return;
   }
 
@@ -460,8 +452,6 @@ void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
     FaultDrops.add();
     if (P.FromDup)
       DupDropped.add();
-    obsRecord(S, obs::TraceKind::FaultDrop, static_cast<uint32_t>(At.Sw),
-              At.Pt);
     return;
   }
 
@@ -494,8 +484,6 @@ void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
                                                      At.Sw, At.Pt, Out));
     FaultDelays.add();
     S.Forwarded.add();
-    obsRecord(S, obs::TraceKind::FaultDelay, static_cast<uint32_t>(At.Sw),
-              At.Pt);
     return;
   }
 
@@ -516,8 +504,6 @@ void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
         faults::Injector::recordAt(faults::FaultKind::Dup, At.Sw, At.Pt, Out));
     FaultDups.add();
     S.Forwarded.add();
-    obsRecord(S, obs::TraceKind::FaultDup, static_cast<uint32_t>(At.Sw),
-              At.Pt);
   }
 }
 
@@ -530,8 +516,6 @@ void Engine::processPacket(Shard &S, EnginePacket &P) {
     P.Parent = logEntry(S, P.Pkt, P.Parent, false, P.Tag);
     P.IngressLogged = true;
   }
-  obsRecord(S, obs::TraceKind::Hop, static_cast<uint32_t>(Sl.Id),
-            static_cast<uint32_t>(P.Tag));
 
   // SWITCH rule: learn the digest, then greedily-consistent fresh events
   // (the same sharpening as runtime::Machine and sim::Simulation). The
@@ -567,8 +551,6 @@ void Engine::processPacket(Shard &S, EnginePacket &P) {
       int64_t Expected = -1;
       bool First =
           DetectNs[E]->compare_exchange_strong(Expected, monotonicNs());
-      obsRecord(S, obs::TraceKind::EventDetect, E,
-                static_cast<uint32_t>(Sl.Id));
       // CTRLSEND without a controller. Deltas go out first, so the other
       // shards' workers merge in parallel with the local fan-out; then
       // every subscribed switch this shard owns transitions, one function
@@ -619,8 +601,6 @@ void Engine::processPacket(Shard &S, EnginePacket &P) {
     S.Dropped.add();
     if (P.FromDup)
       DupDropped.add();
-    obsRecord(S, obs::TraceKind::Drop, static_cast<uint32_t>(Sl.Id),
-              /*reason: table miss / drop rule*/ 0);
     return;
   }
   for (size_t I = 0; I != S.ClsOut.size(); ++I)
@@ -672,7 +652,6 @@ void Engine::sendStorm(Shard &S, unsigned E, const DenseBitSet &Ctx) {
   SR.Sw = static_cast<int64_t>(E);
   SR.Pt = static_cast<int64_t>(Reps);
   S.FaultRecs.push_back(SR);
-  obsRecord(S, obs::TraceKind::CtrlStorm, E, Reps);
 }
 
 void Engine::fanOutLocal(Shard &S, unsigned E, uint32_t DetectDense,
@@ -704,8 +683,6 @@ void Engine::handleInject(Shard &S, Msg &M) {
   P.Parent = logEntry(S, P.Pkt, -1, false, P.Tag);
   P.IngressLogged = true;
   S.Injected.add();
-  obsRecord(S, obs::TraceKind::Inject, static_cast<uint32_t>(M.From),
-            static_cast<uint32_t>(Sl.Id));
   processPacket(S, P);
 }
 
@@ -843,8 +820,6 @@ void Engine::flushOut(Shard &S) {
     MsgBuf &B = S.OutBufs[T];
     if (B.size() == 0)
       continue;
-    obsRecord(S, obs::TraceKind::CrossShardPush, T,
-              static_cast<uint32_t>(B.size()));
     pushBatchToShard(T, B.data(), B.size(), S.Stage.data());
     B.reset();
   }
@@ -989,7 +964,6 @@ size_t Engine::drainBatch(Shard &S) {
     // keeps filling — backpressure for the overload policy to absorb.
     S.Stalls.add();
     FaultStalls.add();
-    obsRecord(S, obs::TraceKind::FaultStall, S.Index, S.StallUs);
     std::this_thread::sleep_for(std::chrono::microseconds(S.StallUs));
   }
   return N + Ctrl;
@@ -1137,42 +1111,45 @@ void Engine::awaitQuiescence() {
 }
 
 void Engine::mergeTrace() {
-  // Global trace: sort the shards' log records by ticket, an entry ahead
-  // of the excusals naming it. Per-switch order equals each owner's
-  // processing order (a switch's entries all come from one thread,
-  // ticketed in program order) and a parent's ticket precedes its
-  // children's (children are ticketed after the parent's enqueue), so the
-  // merged log is a legal interleaving for the happens-before derivation.
-  std::vector<const StreamItem *> All;
-  for (auto &S : Shards)
-    for (const StreamItem &It : S->Log)
-      All.push_back(&It);
-  std::sort(All.begin(), All.end(),
-            [](const StreamItem *A, const StreamItem *B) {
-              return std::tie(A->Ticket, A->K) < std::tie(B->Ticket, B->K);
-            });
-
-  // Excusals and duplicates become merged-trace indices for the checker
-  // (run-local annotations, unlike the content-addressed records).
-  std::unordered_map<uint64_t, int> IndexOf;
-  IndexOf.reserve(All.size());
+  // Under RecordTrace only logEntry draws tickets, so every ticket in
+  // [0, Tickets) is exactly one entry in exactly one shard's log, and an
+  // entry's merged index is its ticket: each entry is placed (its packet
+  // moved) at its ticket, and parents, excusals and duplicates keep their
+  // tickets as indices. Per-switch order equals each owner's processing
+  // order (a switch's entries all come from one thread, ticketed in
+  // program order) and a parent's ticket precedes its children's
+  // (children are ticketed after the parent's enqueue), so the merged log
+  // is a legal interleaving for the happens-before derivation.
+  size_t NumEntries = Tickets.load();
+  std::vector<consistency::TraceEntry> Entries(NumEntries);
+  MergedTags.assign(NumEntries, 0);
+  MergedTimes.assign(NumEntries, 0);
   std::vector<int> &Excused = Ledger.ExcusedEntries;
-  for (const StreamItem *It : All) {
-    if (It->K == StreamItem::Excuse) {
-      Excused.push_back(IndexOf.at(It->Ticket));
-      continue;
+  [[maybe_unused]] size_t Placed = 0;
+  for (auto &S : Shards) {
+    for (StreamItem &It : S->Log) {
+      assert(It.Ticket < NumEntries && "a logged ticket past the counter");
+      int At = static_cast<int>(It.Ticket);
+      if (It.K == StreamItem::Excuse) {
+        Excused.push_back(At);
+        continue;
+      }
+      consistency::TraceEntry &E = Entries[At];
+      E.Lp = std::move(It.Lp);
+      E.Parent = static_cast<int>(It.Parent);
+      E.IsDelivery = It.IsDelivery;
+      MergedTags[At] = It.Tag;
+      MergedTimes[At] = It.TsNs;
+      if (It.IsDup)
+        Ledger.DupEntries.push_back(At);
+      ++Placed;
     }
-    consistency::TraceEntry E;
-    E.Lp = It->Lp;
-    E.IsDelivery = It->IsDelivery;
-    E.Parent =
-        It->Parent < 0 ? -1 : IndexOf.at(static_cast<uint64_t>(It->Parent));
-    int At = MergedTrace.append(std::move(E));
-    IndexOf.emplace(It->Ticket, At);
-    MergedTags.push_back(It->Tag);
-    if (It->IsDup)
-      Ledger.DupEntries.push_back(At);
+    // The log's records now live in the merged trace.
+    std::vector<StreamItem>().swap(S->Log);
+    S->LogHanded = 0;
   }
+  assert(Placed == NumEntries && "a ticket with no log entry");
+  MergedTrace = consistency::NetworkTrace(std::move(Entries));
   // Shed excusals are ledgered even without a fault plan: a shed overload
   // policy retires chains under plain pressure too. Every producer is
   // done (the workers joined; the injector is this thread), but a live
@@ -1181,10 +1158,11 @@ void Engine::mergeTrace() {
   for (auto &S : Shards) {
     std::lock_guard<std::mutex> Lock(S->OverflowMu);
     for (int64_t T : S->ShedExcuses)
-      Excused.push_back(IndexOf.at(static_cast<uint64_t>(T)));
+      Excused.push_back(static_cast<int>(T));
   }
   std::sort(Excused.begin(), Excused.end());
   Excused.erase(std::unique(Excused.begin(), Excused.end()), Excused.end());
+  std::sort(Ledger.DupEntries.begin(), Ledger.DupEntries.end());
 }
 
 void Engine::finish() {
@@ -1224,19 +1202,6 @@ void Engine::mergeResults() {
   // items carried the excusals already.
   if (C.RecordTrace)
     mergeTrace();
-
-  // Obs timeline: concatenate the per-shard rings (post-join, so every
-  // slot write happens-before this read) and sort into one time base.
-  for (auto &S : Shards) {
-    if (!S->ObsRing)
-      continue;
-    std::vector<obs::TraceEvent> Evs = S->ObsRing->events();
-    MergedObsTrace.insert(MergedObsTrace.end(), Evs.begin(), Evs.end());
-  }
-  std::sort(MergedObsTrace.begin(), MergedObsTrace.end(),
-            [](const obs::TraceEvent &A, const obs::TraceEvent &B) {
-              return A.TsNs < B.TsNs;
-            });
 
   // Final stats, including the transition-latency aggregates.
   FinalStats = Stats();
@@ -1280,6 +1245,81 @@ void Engine::mergeResults() {
       UpdateNs.record(Lat > 0 ? static_cast<uint64_t>(Lat) : 0);
     }
   FinalStats.Transition = digestFrom(UpdateNs.snapshot(), 1e-9);
+}
+
+std::vector<obs::TraceEvent> Engine::timeline() const {
+  using obs::TraceKind;
+  std::vector<obs::TraceEvent> Out;
+  auto ShardOf = [&](SwitchId Sw) { return Part.ShardOf[Idx.denseOf(Sw)]; };
+
+  // Each merged entry's role, in one forward pass: parents precede
+  // children, and a root is an injection, an egress's child is a link
+  // arrival (a hop), and any other entry's child is a delivery or an
+  // egress. A duplicate's egress is renamed after the pass.
+  const std::vector<consistency::TraceEntry> &Entries = MergedTrace.entries();
+  size_t NumEntries = Entries.size();
+  std::vector<TraceKind> Role(NumEntries);
+  std::vector<bool> HasChild(NumEntries, false), Excused(NumEntries, false);
+  for (size_t I = 0; I != NumEntries; ++I) {
+    int P = Entries[I].Parent;
+    if (P >= 0)
+      HasChild[P] = true;
+    Role[I] = P < 0                          ? TraceKind::Inject
+              : Role[P] == TraceKind::Egress ? TraceKind::Hop
+              : Entries[I].IsDelivery        ? TraceKind::Deliver
+                                             : TraceKind::Egress;
+  }
+  for (int I : Ledger.DupEntries) // at(): no trace after takeTrace()
+    Role.at(I) = TraceKind::FaultDup;
+  for (int I : Ledger.ExcusedEntries)
+    Excused.at(I) = true;
+  Out.reserve(NumEntries + Ledger.ExcusedEntries.size());
+  for (size_t I = 0; I != NumEntries; ++I) {
+    SwitchId Sw = Entries[I].Lp.sw();
+    obs::TraceEvent Ev{MergedTimes[I], Sw, static_cast<uint32_t>(I), Role[I],
+                       ShardOf(Sw)};
+    Out.push_back(Ev);
+    if (Excused[I]) {
+      Ev.Kind = TraceKind::Excused;
+      Out.push_back(Ev);
+    } else if (!HasChild[I] && Role[I] != TraceKind::Deliver) {
+      Ev.Kind = TraceKind::Drop;
+      Out.push_back(Ev);
+    }
+  }
+
+  // The update instants, from the first-detect and first-learn stamps.
+  int64_t Base = StartNs.load();
+  unsigned NE = N.numEvents();
+  for (unsigned E = 0; E != NE; ++E)
+    if (int64_t At = DetectNs[E]->load(); At >= 0) {
+      SwitchId Sw = N.event(E).Loc.Sw;
+      Out.push_back({At - Base, E, Sw, TraceKind::EventDetect, ShardOf(Sw)});
+    }
+  std::vector<int64_t> Swaps;
+  for (uint32_t D = 0; D != Idx.numSwitches(); ++D) {
+    SwitchId Sw = Slots[D].Id;
+    Swaps.clear();
+    for (unsigned E = 0; E != NE; ++E)
+      if (int64_t At = LearnNs[static_cast<size_t>(D) * NE + E]; At >= 0) {
+        Out.push_back(
+            {At - Base, Sw, E, TraceKind::RegisterLearn, Part.ShardOf[D]});
+        Swaps.push_back(At);
+      }
+    // One view swap per distinct learn stamp (see applyRegister), with
+    // the versions it published counting up from 1.
+    std::sort(Swaps.begin(), Swaps.end());
+    Swaps.erase(std::unique(Swaps.begin(), Swaps.end()), Swaps.end());
+    for (size_t V = 0; V != Swaps.size(); ++V)
+      Out.push_back({Swaps[V] - Base, Sw, static_cast<uint32_t>(V + 1),
+                     TraceKind::ConfigSwap, Part.ShardOf[D]});
+  }
+
+  std::stable_sort(Out.begin(), Out.end(),
+                   [](const obs::TraceEvent &A, const obs::TraceEvent &B) {
+                     return A.TsNs < B.TsNs;
+                   });
+  return Out;
 }
 
 Stats Engine::stats() const {
@@ -1329,18 +1369,14 @@ void Engine::fillFaultStats(Stats &S) const {
 }
 
 void Engine::fillObsStats(Stats &S) const {
-  // Lock-free merge: histogram snapshots are relaxed copies and the ring
-  // counters are monotone, so this is safe concurrently with run()
-  // (stats() live path) and exact once the workers joined.
+  // Lock-free merge: histogram snapshots are relaxed copies, so this is
+  // safe concurrently with run() (stats() live path) and exact once the
+  // workers joined.
   obs::HistogramSnapshot Dwell, Occupancy;
   for (const auto &Sh : Shards) {
     if (Sh->Lat) {
       Dwell.merge(Sh->Lat->DwellNs.snapshot());
       Occupancy.merge(Sh->Lat->Occupancy.snapshot());
-    }
-    if (Sh->ObsRing) {
-      S.TraceRecorded += Sh->ObsRing->recordedCount();
-      S.TraceDropped += Sh->ObsRing->droppedCount();
     }
   }
   S.QueueDwell = digestFrom(Dwell, 1e-9);
@@ -1358,10 +1394,6 @@ ShardStats Engine::baseShardStats(const Shard &Sh) const {
   SS.Shed = Sh.Shed.get();
   SS.Stalls = Sh.Stalls.get();
   SS.FastLearns = Sh.FastLearns.get();
-  if (Sh.ObsRing) {
-    SS.TraceRecorded = Sh.ObsRing->recordedCount();
-    SS.TraceDropped = Sh.ObsRing->droppedCount();
-  }
   return SS;
 }
 

@@ -35,13 +35,16 @@
 ///    through an epoch domain (engine/Rcu.h).
 ///
 /// Each shard records every occurrence once, in one trace log of entries
-/// (ticketed from a global atomic counter) and excusals of ledgered
-/// drops. The live stream hand-off and the merge at finish() read the
-/// same records; the merged consistency::NetworkTrace's log order is a
-/// legal global interleaving (per-switch order is the owner's real
-/// processing order; a parent's ticket always precedes its children's),
-/// so the Definition 6 checker applies to concurrent executions exactly
-/// as it does to the sequential Machine and Simulation.
+/// (ticketed from a global atomic counter and stamped with their time)
+/// and excusals of ledgered drops. The live stream hand-off and the merge
+/// at finish() read the same records; the merged consistency::NetworkTrace
+/// places each entry at its ticket, so its log order is a legal global
+/// interleaving (per-switch order is the owner's real processing order; a
+/// parent's ticket always precedes its children's), and the Definition 6
+/// checker applies to concurrent executions exactly as it does to the
+/// sequential Machine and Simulation. The Perfetto timeline (timeline())
+/// is derived from the same merged log, the fault ledger and the
+/// first-detect and first-learn stamps: there is no second recording.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,7 +61,7 @@
 #include "faults/Injector.h"
 #include "nes/Nes.h"
 #include "obs/Histogram.h"
-#include "obs/TraceRing.h"
+#include "obs/Perfetto.h"
 #include "support/BitSet.h"
 #include "topo/Topology.h"
 
@@ -153,9 +156,6 @@ struct EngineConfig {
   /// Off by default: when off, the hot loop takes no timestamps and the
   /// recording calls reduce to a null-pointer test.
   bool LatencyHistograms = false;
-  /// Per-shard obs trace-ring capacity in events (obs/TraceRing.h);
-  /// 0 disables tracing entirely (no ring is even allocated).
-  size_t TraceEventCapacity = 0;
   /// Behavior when a shard's ring overflows (see OverloadPolicy).
   OverloadPolicy Overload = OverloadPolicy::Block;
   /// Compiled fault plan, or null for no injection (the hooks then cost
@@ -226,7 +226,8 @@ public:
   /// either a trace entry or an excusal (a ledgered drop/shed whose chain
   /// may legitimately end at Ticket). Parent is the producing
   /// occurrence's ticket, -1 for a root; Tag is the packet's configuration
-  /// tag; IsDup marks a fault-plan duplicate's egress entry.
+  /// tag; IsDup marks a fault-plan duplicate's egress entry; TsNs is the
+  /// entry's time, in nanoseconds since start() (0 on an excusal).
   struct StreamItem {
     enum Kind : uint8_t { Entry, Excuse } K = Entry;
     uint64_t Ticket = 0;
@@ -235,6 +236,7 @@ public:
     bool IsDelivery = false;
     bool IsDup = false;
     nes::SetId Tag = 0;
+    int64_t TsNs = 0;
   };
 
   /// Drains every shard's buffered stream items into \p Out (appended;
@@ -284,12 +286,14 @@ public:
   /// Moves the ledger out (for report assembly on a dying engine).
   faults::FaultLedger takeFaultLedger() { return std::move(Ledger); }
 
-  /// The merged obs event timeline, sorted by timestamp (valid after
-  /// run; empty unless EngineConfig::TraceEventCapacity was set). Moves
-  /// the events out; subsequent calls return empty.
-  std::vector<obs::TraceEvent> takeObsTrace() {
-    return std::move(MergedObsTrace);
-  }
+  /// The run's Perfetto timeline (obs/Perfetto.h), sorted by time: one
+  /// instant per merged trace entry named by its role, excused and drop
+  /// instants where chains end, and event_detect, register_learn and
+  /// config_swap instants from the first-detect and first-learn stamps,
+  /// each on the track of the shard owning its switch. Valid after
+  /// finish() and before takeTrace()/takeFaultLedger(); the entry
+  /// instants need RecordTrace.
+  std::vector<obs::TraceEvent> timeline() const;
 
   /// Seconds after run() start at which each switch first learned each
   /// event (valid after run) — the Figure 16(b) measurement. Derived
@@ -517,10 +521,9 @@ private:
     std::vector<StreamItem> StreamBuf;
     uint64_t StreamLagShed = 0; ///< items shed at StreamBufCap (StreamMu)
     std::atomic<uint64_t> StreamWatermark{0};
-    /// Observability (obs/): both null when the corresponding
-    /// EngineConfig knob is off — recording calls then cost one
-    /// predictable null test and the hot loop takes no timestamps.
-    std::unique_ptr<obs::TraceRing> ObsRing;
+    /// Latency histograms (obs/): null when EngineConfig::LatencyHistograms
+    /// is off — recording then costs one predictable null test and the
+    /// hot loop takes no timestamps.
     std::unique_ptr<ShardLatency> Lat;
   };
 
@@ -599,25 +602,19 @@ private:
   /// Pushes \p N packed records into \p Dst's ring (batch CAS), retrying
   /// under Block, and spills what does not fit to the overflow deque.
   void pushRecords(Shard &Dst, const MsgRecord *Recs, size_t N);
-  /// Records one obs trace event on \p S's ring; a null test when
-  /// tracing is off.
-  void obsRecord(Shard &S, obs::TraceKind K, uint32_t A, uint32_t B) {
-    if (obs::TraceRing *R = S.ObsRing.get())
-      R->record({monotonicNs() - StartNs.load(std::memory_order_relaxed),
-                 A, B, K, static_cast<uint8_t>(S.Index)});
-  }
   int64_t logEntry(Shard &S, const netkat::Packet &Lp, int64_t Parent,
                    bool IsDelivery, nes::SetId Tag);
   void mergeResults();
-  /// Merges the logs into trace(), traceTags() and the ledger's indices.
+  /// Merges the logs into trace(), traceTags(), the entry times and the
+  /// ledger's indices, then releases the logs.
   void mergeTrace();
   /// The partition summary and per-shard counters shared by stats() and
   /// mergeResults() (one source of truth for both report shapes).
   void fillPartitionStats(Stats &S) const;
   /// Fault-injection counter totals (relaxed reads; live-safe).
   void fillFaultStats(Stats &S) const;
-  /// Latency-histogram digests and trace-ring totals (lock-free; exact
-  /// after join, racy-but-consistent during run for the sampler).
+  /// Latency-histogram digests (lock-free; exact after join,
+  /// racy-but-consistent during run for the sampler).
   void fillObsStats(Stats &S) const;
   ShardStats baseShardStats(const Shard &Sh) const;
   /// Adds \p Sh's counters (with \p SS, its ShardStats) into \p S's
@@ -701,9 +698,9 @@ private:
   // Merged results (valid after run()).
   consistency::NetworkTrace MergedTrace;
   std::vector<nes::SetId> MergedTags;
+  std::vector<int64_t> MergedTimes; ///< entry times, parallel to MergedTags
   std::map<std::pair<SwitchId, nes::EventId>, double> MergedLearnTimes;
   std::vector<int64_t> TransitionNs; ///< detect->learn samples, ns
-  std::vector<obs::TraceEvent> MergedObsTrace;
   Stats FinalStats;
 };
 

@@ -67,8 +67,6 @@ struct ShardStats {
   uint64_t FreelistGrowth = 0;   ///< recycled-buffer pool growth events
   uint32_t Switches = 0;         ///< switches placed on this shard
   uint64_t IdleSleeps = 0;       ///< idle-backoff sleeps taken by the worker
-  uint64_t TraceRecorded = 0;    ///< obs trace-ring records that landed
-  uint64_t TraceDropped = 0;     ///< obs trace-ring records refused (full)
   uint64_t Shed = 0;             ///< messages shed by the overload policy
   uint64_t Stalls = 0;           ///< fault-plan stalls taken by the worker
   uint64_t FastLearns = 0;       ///< registers advanced by the local fast path
@@ -143,8 +141,9 @@ struct Stats {
   /// EngineConfig::LatencyHistograms is on.
   LatencyDigest BatchOccupancy;
 
-  /// obs trace-ring totals across shards (zero when tracing is off).
-  uint64_t TraceRecorded = 0;
+  /// No effect: always 0. The engine records no second trace that could
+  /// drop events (its timeline is derived from the trace log). The next
+  /// benchmark change deletes it with its read in e2ebench/UpdateStorm.cpp.
   uint64_t TraceDropped = 0;
 
   /// Fault-injection tallies (all zero when no plan is active). Drops,

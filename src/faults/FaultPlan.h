@@ -22,8 +22,8 @@
 /// makes the fault ledger — the canonical record of what was injected —
 /// byte-identical across repeat runs with the same seed and plan. Faults
 /// whose *occurrence* is inherently timing-dependent (overload sheds,
-/// shard stalls) are tallied in Stats and the obs ring but deliberately
-/// kept out of the serialized ledger.
+/// shard stalls) are tallied in Stats but deliberately kept out of the
+/// serialized ledger.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -16,9 +16,7 @@ std::string obs::metricsJsonLine(const engine::Stats &S) {
      << ", \"dropped\": " << S.PacketsDropped
      << ", \"forwarded\": " << S.PacketsForwarded
      << ", \"events_detected\": " << S.EventsDetected
-     << ", \"config_transitions\": " << S.ConfigTransitions
-     << ", \"trace_recorded\": " << S.TraceRecorded
-     << ", \"trace_dropped\": " << S.TraceDropped;
+     << ", \"config_transitions\": " << S.ConfigTransitions;
 
   OS << ", \"queue_depth\": [";
   for (size_t I = 0; I != S.Shards.size(); ++I)

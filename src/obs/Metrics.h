@@ -27,8 +27,8 @@ struct Stats;
 namespace obs {
 
 /// One engine counter snapshot as a single-line JSON object (no
-/// trailing newline): global packet counters, per-shard queue depth /
-/// high-water / processed / dropped arrays, and trace-ring totals.
+/// trailing newline): global packet counters and per-shard queue depth /
+/// high-water / processed / dropped / idle-sleep arrays.
 std::string metricsJsonLine(const engine::Stats &S);
 
 } // namespace obs

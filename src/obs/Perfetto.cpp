@@ -4,104 +4,42 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <iterator>
 
 using namespace eventnet;
 using namespace eventnet::obs;
 
-const char *obs::traceKindName(TraceKind K) {
-  switch (K) {
-  case TraceKind::Inject:
-    return "inject";
-  case TraceKind::Hop:
-    return "hop";
-  case TraceKind::CrossShardPush:
-    return "cross_shard_push";
-  case TraceKind::EventDetect:
-    return "event_detect";
-  case TraceKind::RegisterLearn:
-    return "register_learn";
-  case TraceKind::ConfigSwap:
-    return "config_swap";
-  case TraceKind::Drop:
-    return "drop";
-  case TraceKind::FaultDrop:
-    return "fault_drop";
-  case TraceKind::FaultDup:
-    return "fault_dup";
-  case TraceKind::FaultDelay:
-    return "fault_delay";
-  case TraceKind::FaultStall:
-    return "fault_stall";
-  case TraceKind::Shed:
-    return "shed";
-  case TraceKind::CtrlStorm:
-    return "ctrl_storm";
-  }
-  return "unknown";
-}
-
 namespace {
 
-/// The two payload words mean different things per kind; name them so
-/// the Perfetto "args" pane reads as facts, not tuples.
-void argNames(TraceKind K, const char *&A, const char *&B) {
-  switch (K) {
-  case TraceKind::Inject:
-    A = "host";
-    B = "switch";
-    return;
-  case TraceKind::Hop:
-    A = "switch";
-    B = "tag";
-    return;
-  case TraceKind::CrossShardPush:
-    A = "target_shard";
-    B = "messages";
-    return;
-  case TraceKind::EventDetect:
-    A = "event";
-    B = "switch";
-    return;
-  case TraceKind::RegisterLearn:
-    A = "switch";
-    B = "event";
-    return;
-  case TraceKind::ConfigSwap:
-    A = "switch";
-    B = "version";
-    return;
-  case TraceKind::Drop:
-    A = "switch";
-    B = "reason";
-    return;
-  case TraceKind::FaultDrop:
-  case TraceKind::FaultDup:
-  case TraceKind::FaultDelay:
-    A = "switch";
-    B = "port";
-    return;
-  case TraceKind::FaultStall:
-    A = "shard";
-    B = "stall_us";
-    return;
-  case TraceKind::Shed:
-    A = "shard";
-    B = "msg_kind";
-    return;
-  case TraceKind::CtrlStorm:
-    A = "event";
-    B = "repeats";
-    return;
-  }
-  A = "a";
-  B = "b";
-}
+/// Per kind, in enum order: the exported name, and the names of the two
+/// payload words so the Perfetto "args" pane reads as facts, not tuples.
+struct KindInfo {
+  const char *Name, *A, *B;
+};
+constexpr KindInfo Kinds[] = {
+    {"inject", "switch", "entry"},
+    {"hop", "switch", "entry"},
+    {"egress", "switch", "entry"},
+    {"deliver", "switch", "entry"},
+    {"fault_dup", "switch", "entry"},
+    {"excused", "switch", "entry"},
+    {"drop", "switch", "entry"},
+    {"event_detect", "event", "switch"},
+    {"register_learn", "switch", "event"},
+    {"config_swap", "switch", "version"},
+};
+static_assert(std::size(Kinds) == size_t(TraceKind::ConfigSwap) + 1,
+              "one entry per TraceKind");
+
+const KindInfo &info(TraceKind K) { return Kinds[static_cast<size_t>(K)]; }
 
 } // namespace
 
+const char *obs::traceKindName(TraceKind K) { return info(K).Name; }
+
 void obs::writePerfettoTrace(std::ostream &OS,
                              const std::vector<TraceEvent> &Events,
-                             unsigned NumShards, uint64_t DroppedEvents) {
+                             unsigned NumShards) {
   OS << "{\"displayTimeUnit\": \"ns\", \"traceEvents\": [";
   bool First = true;
   char Buf[256];
@@ -123,18 +61,17 @@ void obs::writePerfettoTrace(std::ostream &OS,
   First = false;
 
   for (const TraceEvent &E : Events) {
-    const char *AName, *BName;
-    argNames(E.Kind, AName, BName);
+    const KindInfo &K = info(E.Kind);
     // Instant events on the owning shard's track; ts is microseconds
     // (the trace_event unit), kept fractional so ns resolution survives.
     snprintf(Buf, sizeof(Buf),
              ", {\"name\": \"%s\", \"ph\": \"i\", \"s\": \"t\", "
              "\"ts\": %.3f, \"pid\": 1, \"tid\": %u, "
              "\"args\": {\"%s\": %" PRIu32 ", \"%s\": %" PRIu32 "}}",
-             traceKindName(E.Kind), static_cast<double>(E.TsNs) * 1e-3,
-             E.Shard, AName, E.A, BName, E.B);
+             K.Name, static_cast<double>(E.TsNs) * 1e-3, E.Shard, K.A, E.A,
+             K.B, E.B);
     OS << Buf;
   }
   OS << "], \"otherData\": {\"recorded_events\": " << Events.size()
-     << ", \"dropped_events\": " << DroppedEvents << "}}\n";
+     << "}}\n";
 }

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 
 using namespace eventnet;
@@ -117,8 +118,7 @@ TEST_P(FacadeBackends, ReportRendersTextAndJson) {
   // (zero-valued where the backend records nothing).
   for (const char *Key :
        {"\"update_lat_p50\"", "\"update_lat_p99\"", "\"queue_dwell\"",
-        "\"batch_occupancy\"", "\"drop_audit\"", "\"silent_loss\"",
-        "\"obs_trace_recorded\""})
+        "\"batch_occupancy\"", "\"drop_audit\"", "\"silent_loss\""})
     EXPECT_NE(Json.find(Key), std::string::npos) << Key;
   EXPECT_NE(Json.find("\"ok\": true"), std::string::npos);
 }
@@ -163,8 +163,8 @@ TEST(Facade, EnginePartitionStrategiesRunAndReport) {
 
 TEST(Facade, EngineObservabilityEndToEnd) {
   // The full observability stack through the façade: latency
-  // histograms, the obs trace ring, and the metrics sampler all on at
-  // once, with counters that cross-check the run's own report.
+  // histograms, the timeline, and the metrics sampler all on at once,
+  // with counters that cross-check the run's own report.
   Result<Compilation> C = compileFirewall();
   ASSERT_TRUE(C.ok()) << C.status().str();
 
@@ -172,7 +172,7 @@ TEST(Facade, EngineObservabilityEndToEnd) {
       run(*C, "engine",
           RunOptions().seed(9).shards(2).phases(3).pingsPerPhase(3)
               .latencyHistograms(true)
-              .traceEvents(1 << 14)
+              .timeline(true)
               .metricsIntervalMs(1)
               .metricsPath("/dev/null"));
   ASSERT_TRUE(R.ok()) << R.status().str();
@@ -187,23 +187,30 @@ TEST(Facade, EngineObservabilityEndToEnd) {
   EXPECT_GT(R->BatchOccupancy.Samples, 0u);
   EXPECT_GE(R->BatchOccupancy.MeanSec, 1.0);
 
-  // Trace ring: events were recorded, none dropped at this capacity,
-  // and the merged timeline is time-ordered with injects and hops.
-  EXPECT_GT(R->TraceRecorded, 0u);
-  EXPECT_EQ(R->TraceDropped, 0u);
-  ASSERT_EQ(R->ObsTrace.size(), R->TraceRecorded);
-  bool SawInject = false, SawHop = false;
+  // Timeline: read from the trace log, so its instants count what the
+  // report counts, and it is time-ordered.
+  std::map<obs::TraceKind, uint64_t> Count;
   for (size_t I = 0; I != R->ObsTrace.size(); ++I) {
     const obs::TraceEvent &E = R->ObsTrace[I];
-    SawInject |= E.Kind == obs::TraceKind::Inject;
-    SawHop |= E.Kind == obs::TraceKind::Hop;
+    ++Count[E.Kind];
     EXPECT_LT(E.Shard, 2u);
     if (I) {
       EXPECT_LE(R->ObsTrace[I - 1].TsNs, E.TsNs) << "unsorted at " << I;
     }
   }
-  EXPECT_TRUE(SawInject);
-  EXPECT_TRUE(SawHop);
+  using obs::TraceKind;
+  EXPECT_GT(Count[TraceKind::Inject], 0u);
+  EXPECT_EQ(Count[TraceKind::Inject], R->PacketsInjected);
+  EXPECT_EQ(Count[TraceKind::Inject] + Count[TraceKind::Hop], R->SwitchHops);
+  EXPECT_EQ(Count[TraceKind::Deliver], R->PacketsDelivered);
+  EXPECT_EQ(Count[TraceKind::Drop], R->PacketsDropped);
+  EXPECT_EQ(Count[TraceKind::Inject] + Count[TraceKind::Hop] +
+                Count[TraceKind::Egress] + Count[TraceKind::FaultDup] +
+                Count[TraceKind::Deliver],
+            R->Trace.size());
+  EXPECT_EQ(Count[TraceKind::EventDetect], R->EventsDetected);
+  EXPECT_EQ(Count[TraceKind::RegisterLearn], R->UpdateLatency.Samples);
+  EXPECT_EQ(Count[TraceKind::ConfigSwap], R->ConfigTransitions);
 
   // Off by default: the same run without the options records nothing.
   Result<RunReport> Off =
@@ -211,7 +218,6 @@ TEST(Facade, EngineObservabilityEndToEnd) {
           RunOptions().seed(9).shards(2).phases(3).pingsPerPhase(3));
   ASSERT_TRUE(Off.ok()) << Off.status().str();
   EXPECT_EQ(Off->QueueDwell.Samples, 0u);
-  EXPECT_EQ(Off->TraceRecorded, 0u);
   EXPECT_TRUE(Off->ObsTrace.empty());
   // ...but the update-latency digest is a protocol by-product and is
   // populated either way (the ring app's probe flips its config).

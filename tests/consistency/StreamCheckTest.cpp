@@ -442,8 +442,9 @@ TEST(StreamCheck, OutOfOrderCommitIsInconclusive) {
       << streamVerdictName(Res.Verdict) << ": " << Res.Reason;
 }
 
-/// Embedder-reported causes (the trace ring dropped events) force the
-/// verdict off "ok" even when everything the checker saw was clean.
+/// Embedder-reported causes (conditions the checker cannot see itself)
+/// force the verdict off "ok" even when everything the checker saw was
+/// clean.
 TEST(StreamCheck, NotedCauseDegradesCleanRun) {
   Scenario S = authScenario(7);
   ASSERT_TRUE(S.C.ok()) << S.C.status().str();
@@ -588,7 +589,7 @@ TEST(StreamCheckApi, LaggingCollectorShedsAndDegrades) {
       << "workload too small to overflow a 64-entry hand-off";
   Stats St = E.stats();
   api::detail::StreamCollector Col(E, S.C->structure(), S.A.Topo, {});
-  StreamResult R = Col.finalize(St.TraceDropped);
+  StreamResult R = Col.finalize();
   EXPECT_GT(Col.lagShed(), 0u);
   EXPECT_FALSE(R.violated()) << R.Reason;
   EXPECT_EQ(R.Verdict, StreamVerdict::Inconclusive)

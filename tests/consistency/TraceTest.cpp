@@ -2,6 +2,8 @@
 
 #include "consistency/Trace.h"
 
+#include "support/Rng.h"
+
 #include <gtest/gtest.h>
 
 using namespace eventnet;
@@ -90,4 +92,53 @@ TEST(NetworkTrace, ClosureRebuildsAfterAppend) {
   EXPECT_TRUE(T.happensBefore(A, B));
   int C = T.append(at(1, 3));
   EXPECT_TRUE(T.happensBefore(B, C)); // closure refreshed lazily
+}
+
+/// The sweeps against a brute-force transitive closure of the two edge
+/// kinds (parent to child; an entry at a switch to the next entry there),
+/// on every pair of many random small traces.
+TEST(NetworkTrace, SweepsMatchBruteForceClosure) {
+  for (uint64_t Seed = 1; Seed != 201; ++Seed) {
+    Rng R(Seed);
+    int N = 1 + static_cast<int>(R.below(64));
+    NetworkTrace T;
+    for (int I = 0; I != N; ++I) {
+      int Parent = I == 0 || R.below(4) == 0
+                       ? -1
+                       : static_cast<int>(R.below(static_cast<uint64_t>(I)));
+      T.append(at(static_cast<SwitchId>(1 + R.below(3)), 1, Parent));
+    }
+
+    std::vector<std::vector<bool>> Reach(N, std::vector<bool>(N, false));
+    std::vector<int> Last(4, -1);
+    for (int I = 0; I != N; ++I) {
+      if (T.entries()[I].Parent >= 0)
+        Reach[T.entries()[I].Parent][I] = true;
+      int &L = Last[T.entries()[I].Lp.sw()];
+      if (L >= 0)
+        Reach[L][I] = true;
+      L = I;
+    }
+    for (int K = 0; K != N; ++K)
+      for (int I = 0; I != N; ++I)
+        if (Reach[I][K])
+          for (int J = 0; J != N; ++J)
+            if (Reach[K][J])
+              Reach[I][J] = true;
+
+    std::vector<int> All(N);
+    for (int I = 0; I != N; ++I)
+      All[I] = I;
+    std::vector<NetworkTrace::Relatives> Rel = T.relativesOf(All);
+    for (int A = 0; A != N; ++A)
+      for (int B = 0; B != N; ++B) {
+        ASSERT_EQ(T.happensBefore(A, B), Reach[A][B])
+            << "seed " << Seed << ": " << A << " -> " << B << "\n"
+            << T.str();
+        ASSERT_EQ(Rel[B].Before[A], Reach[A][B])
+            << "seed " << Seed << ": " << A << " before " << B;
+        ASSERT_EQ(Rel[A].After[B], Reach[A][B])
+            << "seed " << Seed << ": " << B << " after " << A;
+      }
+  }
 }

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 using namespace eventnet;
@@ -513,4 +514,95 @@ TEST(EngineConsistency, EngineMatchesSimulatorDeliverySemantics) {
   auto R =
       consistency::checkAgainstNes(E.trace(), A.Topo, C->structure());
   EXPECT_TRUE(R.Correct) << R.Reason;
+}
+
+namespace {
+
+Scenario ringProbeScenario(uint64_t Seed) {
+  Scenario S{apps::ringApp(16, 8), {}, {}};
+  S.C = compileApp(S.A);
+  TrafficGen G(S.A.Topo, Seed);
+  S.W = G.pings(2, 4);
+  S.W += G.probe(topo::HostH1, topo::HostH2); // the update trigger
+  S.W += G.pings(2, 4);
+  return S;
+}
+
+} // namespace
+
+/// The timeline is read from the merged trace log, the fault ledger and
+/// the update stamps, so its instants count exactly what the engine
+/// counts, with and without a drop/dup fault plan.
+TEST(EngineTimeline, InstantsCountWhatTheEngineCounts) {
+  using obs::TraceKind;
+  faults::FaultPlan Plan;
+  Plan.Seed = 19;
+  Plan.Links.push_back({-1, -1, 0.1, 0.1, 0, 0, -1});
+  faults::Injector Inj(Plan);
+
+  for (bool Faulted : {false, true})
+    for (auto Make : {firewallScenario, ringProbeScenario})
+      for (unsigned Shards : {1u, 2u}) {
+        Scenario S = Make(11);
+        ASSERT_TRUE(S.C.ok()) << S.A.Name << ": " << S.C.status().str();
+        std::string What = S.A.Name + " shards=" + std::to_string(Shards) +
+                           (Faulted ? " faulted" : "");
+        EngineConfig Cfg;
+        Cfg.NumShards = Shards;
+        if (Faulted)
+          Cfg.Faults = &Inj;
+        Engine E(S.C->structure(), S.A.Topo, Cfg);
+        E.run(S.W);
+        Stats St = E.stats();
+
+        std::vector<obs::TraceEvent> T = E.timeline();
+        std::map<TraceKind, uint64_t> Count;
+        for (size_t I = 0; I != T.size(); ++I) {
+          ++Count[T[I].Kind];
+          EXPECT_LT(T[I].Shard, Shards) << What;
+          EXPECT_GE(T[I].TsNs, 0) << What;
+          EXPECT_LE(static_cast<double>(T[I].TsNs) * 1e-9, St.ElapsedSec)
+              << What;
+          if (I) {
+            EXPECT_LE(T[I - 1].TsNs, T[I].TsNs) << What << " at " << I;
+          }
+        }
+
+        // One instant per entry, named by its role.
+        EXPECT_GT(Count[TraceKind::Inject], 0u) << What;
+        EXPECT_EQ(Count[TraceKind::Inject], St.PacketsInjected) << What;
+        EXPECT_EQ(Count[TraceKind::Inject] + Count[TraceKind::Hop],
+                  St.PacketsProcessed)
+            << What;
+        EXPECT_EQ(Count[TraceKind::Egress] + Count[TraceKind::FaultDup],
+                  St.PacketsForwarded)
+            << What;
+        EXPECT_EQ(Count[TraceKind::Deliver], St.PacketsDelivered) << What;
+        EXPECT_EQ(Count[TraceKind::Inject] + Count[TraceKind::Hop] +
+                      Count[TraceKind::Egress] + Count[TraceKind::FaultDup] +
+                      Count[TraceKind::Deliver],
+                  E.trace().size())
+            << What;
+
+        // The update instants.
+        EXPECT_EQ(Count[TraceKind::EventDetect], St.EventsDetected) << What;
+        EXPECT_EQ(Count[TraceKind::RegisterLearn], E.learnTimes().size())
+            << What;
+        EXPECT_EQ(Count[TraceKind::ConfigSwap], St.ConfigTransitions)
+            << What;
+
+        const faults::FaultLedger &L = E.faultLedger();
+        if (!Faulted) {
+          EXPECT_EQ(Count[TraceKind::Drop], St.PacketsDropped) << What;
+          EXPECT_EQ(Count[TraceKind::FaultDup], 0u) << What;
+          EXPECT_EQ(Count[TraceKind::Excused], 0u) << What;
+          continue;
+        }
+        EXPECT_EQ(Count[TraceKind::Drop] + Count[TraceKind::Excused],
+                  St.PacketsDropped)
+            << What;
+        EXPECT_EQ(Count[TraceKind::FaultDup], L.DupEntries.size()) << What;
+        EXPECT_EQ(Count[TraceKind::Excused], L.ExcusedEntries.size())
+            << What;
+      }
 }

@@ -94,8 +94,8 @@ int usage() {
 }
 
 /// Stderr verbosity: 0 with --quiet, 1 by default, 2 with -v. Level-1
-/// notes are warnings worth seeing unprompted (dropped trace events);
-/// level-2 notes narrate progress.
+/// notes are warnings worth seeing unprompted (an empty --trace
+/// timeline); level-2 notes narrate progress.
 int Verbosity = 1;
 
 void note(int Level, const char *Fmt, ...) {
@@ -267,9 +267,7 @@ api::Status parseArgs(int argc, char **argv, const std::string &Cmd,
       if (!V)
         return Bad("--trace needs an output file argument");
       A.TracePath = V;
-      // 256K events per shard; the ring counts (not silently hides)
-      // anything beyond that.
-      A.Run.traceEvents(1u << 18);
+      A.Run.timeline(true);
     } else if (Arg == "--latency-hist") {
       if (IsCompile)
         return WrongCommand();
@@ -391,6 +389,24 @@ int cmdCompile(const CliArgs &A, const api::Compilation &C) {
   return 0;
 }
 
+/// Writes \p R's timeline to the --trace file, if one was asked for. The
+/// timeline keeps the whole recorded trace, so it suits bounded runs.
+api::Status writeTimeline(const CliArgs &A, const api::RunReport &R) {
+  if (A.TracePath.empty())
+    return api::Status::success();
+  if (R.ObsTrace.empty())
+    note(1, "--trace: the %s run recorded no timeline; writing an empty "
+            "trace", R.Backend.c_str());
+  std::ofstream OS(A.TracePath);
+  if (!OS)
+    return api::Status::error(api::Code::RunError,
+                              "cannot open trace file '" + A.TracePath + "'");
+  obs::writePerfettoTrace(OS, R.ObsTrace, R.Shards);
+  note(2, "wrote %zu trace events to %s", R.ObsTrace.size(),
+       A.TracePath.c_str());
+  return api::Status::success();
+}
+
 int cmdRun(const CliArgs &A, const api::Compilation &C, bool VerdictOnly) {
   note(2, "running backend %s (seed %llu, %u shards)", A.Backend.c_str(),
        static_cast<unsigned long long>(A.Run.Seed), A.Run.Shards);
@@ -398,23 +414,8 @@ int cmdRun(const CliArgs &A, const api::Compilation &C, bool VerdictOnly) {
   if (!R.ok())
     return fail(R.status());
 
-  if (!A.TracePath.empty()) {
-    if (A.Backend != "engine" && R->ObsTrace.empty())
-      note(1, "--trace: the %s backend records no obs events; writing an "
-              "empty trace", A.Backend.c_str());
-    std::ofstream OS(A.TracePath);
-    if (!OS)
-      return fail(api::Status::error(api::Code::RunError,
-                                     "cannot open trace file '" +
-                                         A.TracePath + "'"));
-    obs::writePerfettoTrace(OS, R->ObsTrace, R->Shards, R->TraceDropped);
-    note(2, "wrote %zu trace events to %s", R->ObsTrace.size(),
-         A.TracePath.c_str());
-    if (R->TraceDropped > 0)
-      note(1, "obs trace ring dropped %llu events (per-shard capacity "
-              "exceeded); the timeline keeps its head",
-           static_cast<unsigned long long>(R->TraceDropped));
-  }
+  if (api::Status St = writeTimeline(A, *R); !St.ok())
+    return fail(St);
   if (!R->Audit.Ok)
     note(1, "drop audit FAILED: %llu packet(s) silently lost",
          static_cast<unsigned long long>(R->Audit.SilentLoss));
@@ -484,6 +485,8 @@ int cmdServe(CliArgs &A, const api::Compilation &C) {
   api::Result<api::RunReport> R = api::serveNet(C, A.Run, A.Serve);
   if (!R.ok())
     return fail(R.status());
+  if (api::Status St = writeTimeline(A, *R); !St.ok())
+    return fail(St);
 
   if (A.Json)
     printf("%s\n", R->json().c_str());
