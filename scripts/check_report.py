@@ -122,7 +122,8 @@ def main() -> None:
                 "delivery_frames", "replies_out", "reassembly_partial",
                 "backpressure_shed", "ring_shed", "delivery_unroutable",
                 "non_net_deliveries", "barriers_acked", "udp_datagrams",
-                "client_delivers", "client_replies", "rtt_samples")
+                "unread_at_stop_bytes", "client_delivers", "client_replies",
+                "rtt_samples")
     for key in net_keys:
         if key not in net:
             fail(f"net block missing '{key}'")

@@ -48,6 +48,7 @@ void fillNetSide(NetReport &N, const net::ServerStats &NS, bool Udp) {
   N.NonNetDeliveries = NS.NonNetDeliveries;
   N.BarriersAcked = NS.BarriersAcked;
   N.UdpDatagrams = NS.UdpDatagrams;
+  N.UnreadAtStopBytes = NS.UnreadAtStopBytes;
 }
 
 LatencyReport rttReport(const obs::HistogramSnapshot &H) {

@@ -290,6 +290,8 @@ std::string RunReport::str() const {
     if (Net.UdpDatagrams)
       OS << ", " << Net.UdpDatagrams << " datagrams";
     OS << "\n";
+    OS << "  net unread:   " << Net.UnreadAtStopBytes
+       << " client bytes discarded unread at stop\n";
     if (Net.BackpressureShed || Net.DeliveryUnroutable)
       OS << "  net shed:     " << Net.BackpressureShed << " backpressure ("
          << Net.RingShed << " at the ring), " << Net.DeliveryUnroutable
@@ -416,6 +418,7 @@ std::string RunReport::json() const {
      << ", \"non_net_deliveries\": " << Net.NonNetDeliveries
      << ", \"barriers_acked\": " << Net.BarriersAcked
      << ", \"udp_datagrams\": " << Net.UdpDatagrams
+     << ", \"unread_at_stop_bytes\": " << Net.UnreadAtStopBytes
      << ", \"client_delivers\": " << Net.ClientDelivers
      << ", \"client_replies\": " << Net.ClientReplies
      << ", \"rtt_samples\": " << Net.Rtt.Samples

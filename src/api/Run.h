@@ -301,6 +301,9 @@ struct NetReport {
   uint64_t NonNetDeliveries = 0;   ///< deliveries without a conn tag
   uint64_t BarriersAcked = 0;
   uint64_t UdpDatagrams = 0;
+  /// Client bytes the server's final teardown discarded undecoded
+  /// (net::ServerStats::UnreadAtStopBytes); 0 after a clean drain.
+  uint64_t UnreadAtStopBytes = 0;
   uint64_t ClientDelivers = 0; ///< Deliver frames the client received
   uint64_t ClientReplies = 0;  ///< of those, echo replies
   /// Client-observed round trip (request sent to echo reply received).

@@ -62,7 +62,7 @@ const Egress *SwitchIndex::egressAt(uint32_t D, PortId Pt) const {
 }
 
 CompiledNes::CompiledNes(const nes::Nes &N, const SwitchIndex &Idx)
-    : NumSwitches(Idx.numSwitches()) {
+    : NumSwitches(Idx.numSwitches()), NumEvents(N.numEvents()) {
   Pipes.reserve(static_cast<size_t>(N.numSets()) * NumSwitches);
   for (nes::SetId S = 0; S != N.numSets(); ++S) {
     const topo::Configuration &C = N.configOf(S);
@@ -71,6 +71,15 @@ CompiledNes::CompiledNes(const nes::Nes &N, const SwitchIndex &Idx)
   }
 
   Events.resize(NumSwitches);
-  for (nes::EventId E = 0; E != N.numEvents(); ++E)
+  for (nes::EventId E = 0; E != NumEvents; ++E)
     Events[Idx.denseOf(N.event(E).Loc.Sw)].push_back(E);
+
+  Next.reserve(static_cast<size_t>(N.numSets()) * NumEvents);
+  DenseBitSet With;
+  for (nes::SetId S = 0; S != N.numSets(); ++S)
+    for (nes::EventId E = 0; E != NumEvents; ++E) {
+      With = N.setBits(S);
+      With.set(E);
+      Next.push_back(N.setIndex(With).value_or(NoSet));
+    }
 }

@@ -8,10 +8,10 @@
 /// \file
 /// The engine's ahead-of-time lowering: a dense index over the topology
 /// (switch ids to contiguous indices, per-port egress dispositions as
-/// flat sorted arrays) and, for every reachable event-set of the NES,
-/// every switch's flow table lowered to a MatchPipeline. After
-/// construction everything here is immutable and read concurrently by
-/// all shards.
+/// flat sorted arrays), for every reachable event-set of the NES every
+/// switch's flow table lowered to a MatchPipeline, and every event-set's
+/// single-event successors. After construction everything here is
+/// immutable and read concurrently by all shards.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +22,7 @@
 #include "nes/Nes.h"
 #include "topo/Topology.h"
 
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -74,8 +75,9 @@ private:
   static constexpr size_t DirectCap = 4096;
 };
 
-/// Every event-set's configuration lowered to per-switch pipelines, plus
-/// the per-switch event lists the runtime's learning step scans.
+/// Every event-set's configuration lowered to per-switch pipelines, the
+/// per-switch event lists the runtime's learning step scans, and the
+/// single-event transition table the update path reads.
 class CompiledNes {
 public:
   CompiledNes(const nes::Nes &N, const SwitchIndex &Idx);
@@ -91,12 +93,26 @@ public:
     return Events[D];
   }
 
+  /// The family index of setBits(\p S) ∪ {\p E}, or nullopt when that
+  /// union is not a family member (the set lacks one of \p E's causes):
+  /// a single-event transition as one table read.
+  std::optional<nes::SetId> next(nes::SetId S, nes::EventId E) const {
+    nes::SetId T = Next[static_cast<size_t>(S) * NumEvents + E];
+    if (T == NoSet)
+      return std::nullopt;
+    return T;
+  }
+
   size_t totalPipelines() const { return Pipes.size(); }
 
 private:
+  static constexpr nes::SetId NoSet = ~nes::SetId(0);
+
   uint32_t NumSwitches;
+  unsigned NumEvents;
   std::vector<MatchPipeline> Pipes; ///< [SetId * NumSwitches + Dense]
   std::vector<std::vector<nes::EventId>> Events;
+  std::vector<nes::SetId> Next; ///< [SetId * NumEvents + EventId], or NoSet
 };
 
 } // namespace engine

@@ -63,7 +63,7 @@ Engine::Engine(const nes::Nes &N, const topo::Topology &Topo,
                EngineConfig Cfg)
     : N(N), Topo(Topo), C(Cfg), Idx(Topo),
       Part(partitionSwitches(Idx, std::max(1u, Cfg.NumShards), Cfg.Partition)),
-      Compiled(N, Idx), Epochs(8) {
+      Compiled(N, Idx) {
   if (C.NumShards == 0)
     C.NumShards = 1;
   if (C.BatchSize == 0)
@@ -79,9 +79,22 @@ Engine::Engine(const nes::Nes &N, const topo::Topology &Topo,
     Sl.Id = Idx.idOf(D);
     Sl.Shard = Part.ShardOf[D];
     Sl.Tag = N.emptySet();
-    Sl.E = DenseBitSet();
-    Sl.Published.store(new SwitchView{Sl.Tag, Sl.E, 0});
+    Sl.Published.store(Sl.Tag); // version 0
   }
+
+  // Every event set fits in this many words, so sets reserved to it never
+  // grow: the SWITCH rule's scratch, the update fallback's and the
+  // per-event contexts take their room here, not on the event path.
+  size_t EventWords = (N.numEvents() + 63) / 64;
+  EventCtx.resize(N.numEvents());
+  for (DenseBitSet &Ctx : EventCtx)
+    Ctx.reserve(EventWords);
+  // A lane takes at most one delta per event from sendDeltas and
+  // CtrlStormRepeat from sendStorm, both only from the event's one
+  // detection.
+  size_t LaneBound =
+      static_cast<size_t>(N.numEvents()) *
+      (1 + (C.Faults ? C.Faults->plan().CtrlStormRepeat : 0));
 
   // Pre-size the recycled pools to their steady-state working set (a
   // full dequeue batch can fill any one egress buffer, the classifier
@@ -90,7 +103,8 @@ Engine::Engine(const nes::Nes &N, const topo::Topology &Topo,
   // the injector's freelists never grow after construction. Every
   // message slot also gets room for the widest ring record, so unpacking
   // a record, building a hop or building an echo reply never grows a
-  // slot's vectors, not even on a fresh engine's first batch.
+  // slot's vectors, not even on a fresh engine's first batch (each worker
+  // sizes its classifier output slots itself; see workerLoop).
   auto FitRecord = [](Msg &M) {
     M.P.Pkt.reserve(MsgRecord::MaxFields);
     M.P.Digest.reserve(MsgRecord::MaxDigestWords);
@@ -105,6 +119,10 @@ Engine::Engine(const nes::Nes &N, const topo::Topology &Topo,
     auto S = std::make_unique<Shard>();
     S->Index = I;
     S->Q = std::make_unique<BoundedMpscQueue<MsgRecord>>(C.QueueCapacity);
+    S->Ctrl = std::make_unique<BoundedMpscQueue<uint32_t>>(LaneBound);
+    for (DenseBitSet *B : {&S->ScratchKnown, &S->ScratchFresh, &S->ScratchExt,
+                           &S->ScratchNew, &S->ScratchDigest, &S->ScratchFan})
+      B->reserve(EventWords);
     S->Batch.resize(C.BatchSize);
     for (Msg &M : S->Batch)
       FitRecord(M);
@@ -156,11 +174,6 @@ Engine::Engine(const nes::Nes &N, const topo::Topology &Topo,
   sim::connField();
 }
 
-Engine::~Engine() {
-  for (uint32_t D = 0; D != Idx.numSwitches(); ++D)
-    delete Slots[D].Published.load();
-}
-
 void Engine::buildSubscriptions() {
   unsigned NE = N.numEvents();
   SubSwitches.assign(static_cast<size_t>(NE) * C.NumShards, {});
@@ -194,9 +207,7 @@ void Engine::buildSubscriptions() {
         }
         continue;
       }
-      DenseBitSet With = Bits;
-      With.set(E);
-      auto S2 = N.setIndex(With);
+      auto S2 = Compiled.next(S, E);
       if (!S2)
         continue;
       const topo::Configuration &A = N.configOf(S);
@@ -288,48 +299,39 @@ uint64_t Engine::streamBacklog() {
 // The data path (owner-thread only)
 //===----------------------------------------------------------------------===//
 
-void Engine::applyRegister(Shard &S, uint32_t Dense, const DenseBitSet &NewE) {
+void Engine::applyRegister(Shard &S, uint32_t Dense, nes::SetId NewTag) {
   SwitchSlot &Sl = Slots[Dense];
-  auto TagOpt = N.setIndex(NewE);
-  assert(TagOpt && "switch register left the NES family (Lemma 3)");
-  if (!TagOpt)
-    return;
+  const DenseBitSet &Old = N.setBits(Sl.Tag);
 
   // One monotonic clock for the whole update-latency measurement:
   // DetectNs and LearnNs are both raw monotonicNs(), so the Transition
   // digest is a pure difference on one time base. Registers only grow,
-  // so a bit new to Sl.E is a first learn and its slot is still unset.
-  // Every call learns at least one event, all at this one stamp, so a
-  // switch's distinct learn stamps are its view swaps (timeline()).
+  // so a bit new to the register is a first learn and its slot is still
+  // unset. Every call learns at least one event, all at this one stamp,
+  // so a switch's distinct learn stamps are its view stores (timeline()).
   int64_t Now = monotonicNs();
   int64_t *Learn = &LearnNs[static_cast<size_t>(Dense) * N.numEvents()];
-  NewE.forEach([&](unsigned E) {
-    if (!Sl.E.test(E))
+  N.setBits(NewTag).forEach([&](unsigned E) {
+    if (!Old.test(E))
       Learn[E] = Now;
   });
+  Sl.Tag = NewTag;
 
-  Sl.E = NewE;
-  Sl.Tag = *TagOpt;
-
-  // The atomic transition: swap the published view, retire the old one.
-  const SwitchView *Old = Sl.Published.load();
-  Sl.Published.store(new SwitchView{Sl.Tag, Sl.E, Old->Version + 1});
-  S.Retired.retire(Old, Epochs.retireEpoch());
+  // The atomic transition: one release store of the view word. The
+  // owner is its only writer, so the version is read back relaxed.
+  uint64_t Version = (Sl.Published.load(std::memory_order_relaxed) >> 32) + 1;
+  Sl.Published.store(Version << 32 | NewTag, std::memory_order_release);
   S.Transitions.add();
 }
 
-void Engine::pushDelta(uint32_t Target, unsigned E, const DenseBitSet &Ctx) {
+void Engine::pushDelta(uint32_t Target, unsigned E) {
   // A delta that queued behind a storm's worth of data packets would
   // defeat the update pipeline, so it never enters the ring at all — the
   // owner drains this lane ahead of every batch. It is counted into
   // Pending before it becomes visible, like every ring message.
   Pending.fetch_add(1);
-  Delta Dl{static_cast<uint32_t>(E), Ctx};
-  Shard &Sh = *Shards[Target];
-  std::lock_guard<std::mutex> Lock(Sh.CtrlMu);
-  Sh.CtrlLane.push_back(std::move(Dl));
-  Sh.CtrlLaneSize.store(static_cast<uint32_t>(Sh.CtrlLane.size()),
-                        std::memory_order_release);
+  [[maybe_unused]] bool Pushed = Shards[Target]->Ctrl->tryPush(E);
+  assert(Pushed && "a lane holds every delta of a run by construction");
 }
 
 void Engine::shedLocked(Shard &Dst, Msg &M) {
@@ -525,10 +527,11 @@ void Engine::processPacket(Shard &S, EnginePacket &P) {
   // Steady state (the throughput regime): the digest carries nothing the
   // register lacks, so Known is the register itself — a subset test
   // instead of a copy-and-union.
-  bool DigestKnown = P.Digest.isSubsetOf(Sl.E);
-  const DenseBitSet *KnownP = &Sl.E;
+  const DenseBitSet &Reg = N.setBits(Sl.Tag);
+  bool DigestKnown = P.Digest.isSubsetOf(Reg);
+  const DenseBitSet *KnownP = &Reg;
   if (!DigestKnown) {
-    S.ScratchKnown = Sl.E;
+    S.ScratchKnown = Reg;
     S.ScratchKnown |= P.Digest;
     KnownP = &S.ScratchKnown;
   }
@@ -551,19 +554,23 @@ void Engine::processPacket(Shard &S, EnginePacket &P) {
       int64_t Expected = -1;
       bool First =
           DetectNs[E]->compare_exchange_strong(Expected, monotonicNs());
-      // CTRLSEND without a controller. Deltas go out first, so the other
-      // shards' workers merge in parallel with the local fan-out; then
-      // every subscribed switch this shard owns transitions, one function
-      // call after detection. Ext (this detection's consistent
-      // extension: register + digest + fresh events + E, all occurred)
-      // rides along as the causal context for switches whose registers
-      // lack E's causes.
-      sendDeltas(S, E, Ext);
+      // CTRLSEND without a controller. Ext (this detection's consistent
+      // extension: register + digest + fresh events + E, all occurred) is
+      // the causal context for switches whose registers lack E's causes;
+      // the lanes' consumers read it from E's slot, which the push
+      // publishes. Deltas go out first, so the other shards' workers
+      // merge in parallel with the local fan-out; then every subscribed
+      // switch this shard owns transitions, one function call after
+      // detection.
+      if (First) {
+        EventCtx[E] = Ext;
+        sendDeltas(S, E);
+      }
       fanOutLocal(S, E, D, Ext);
       if (First) {
         Events.add();
         if (C.Faults && C.Faults->plan().CtrlStormRepeat)
-          sendStorm(S, E, Ext);
+          sendStorm(S, E);
       }
     }
   }
@@ -576,14 +583,19 @@ void Engine::processPacket(Shard &S, EnginePacket &P) {
   // state nothing was learned: the register stands and doubles as the
   // outgoing digest (P.Digest ⊆ E, so Digest | E == E) — no unions, no
   // transition check.
-  const DenseBitSet *OutDigestP = &Sl.E;
+  const DenseBitSet &Cur = N.setBits(Sl.Tag);
+  const DenseBitSet *OutDigestP = &Cur;
   if (!DigestKnown || !Fresh.empty()) {
     DenseBitSet &NewE = S.ScratchNew;
-    NewE = Sl.E;
+    NewE = Cur;
     NewE |= Known;
     NewE |= Fresh;
-    if (NewE != Sl.E)
-      applyRegister(S, D, NewE);
+    if (NewE != Cur) {
+      auto Tag = N.setIndex(NewE);
+      assert(Tag && "switch register left the NES family (Lemma 3)");
+      if (Tag)
+        applyRegister(S, D, *Tag);
+    }
     DenseBitSet &OutDigest = S.ScratchDigest;
     OutDigest = P.Digest;
     OutDigest |= NewE;
@@ -609,34 +621,38 @@ void Engine::processPacket(Shard &S, EnginePacket &P) {
 
 void Engine::mergeEventInto(Shard &S, uint32_t Dense, unsigned E,
                             const DenseBitSet &Ctx) {
-  SwitchSlot &Sl = Slots[Dense];
-  if (Sl.E.test(E))
+  nes::SetId Tag = Slots[Dense].Tag;
+  if (N.setBits(Tag).test(E))
     return;
-  DenseBitSet &NewE = S.ScratchFan;
-  NewE = Sl.E;
-  NewE.set(E);
-  if (!N.setIndex(NewE)) {
-    // The single-event union left the family: this switch has not yet
-    // heard one of E's *causes* (detection checked enables() against the
-    // detector's knowledge, not this register). Merge the sender's
-    // context instead — a set of occurred events containing E's enabling
-    // chain, so this is the same union a gossip digest carrying that
-    // context would have applied.
-    NewE |= Ctx;
+  if (auto Next = Compiled.next(Tag, E)) {
+    applyRegister(S, Dense, *Next);
+    return;
   }
-  applyRegister(S, Dense, NewE);
+  // The single-event union left the family: this switch has not yet
+  // heard one of E's *causes* (detection checked enables() against the
+  // detector's knowledge, not this register). Merge the sender's context
+  // instead — a set of occurred events containing E's enabling chain, so
+  // this is the same union a gossip digest carrying that context would
+  // have applied.
+  DenseBitSet &NewE = S.ScratchFan;
+  NewE = N.setBits(Tag);
+  NewE |= Ctx;
+  auto Merged = N.setIndex(NewE);
+  assert(Merged && "switch register left the NES family (Lemma 3)");
+  if (Merged)
+    applyRegister(S, Dense, *Merged);
 }
 
-void Engine::sendDeltas(Shard &S, unsigned E, const DenseBitSet &Ctx) {
+void Engine::sendDeltas(Shard &S, unsigned E) {
   for (uint32_t T : SubShards[E]) {
     if (T == S.Index)
       continue; // fanOutLocal covers the detecting shard
-    pushDelta(T, E, Ctx);
+    pushDelta(T, E);
     CtrlDeltas.add();
   }
 }
 
-void Engine::sendStorm(Shard &S, unsigned E, const DenseBitSet &Ctx) {
+void Engine::sendStorm(Shard &S, unsigned E) {
   // Fault-plan event storm: every shard's lane takes the same delta
   // CtrlStormRepeat more times. Semantically idempotent (registers only
   // grow, and a delta merges only what its first copy already did), so
@@ -645,7 +661,7 @@ void Engine::sendStorm(Shard &S, unsigned E, const DenseBitSet &Ctx) {
   uint32_t Reps = C.Faults->plan().CtrlStormRepeat;
   for (uint32_t R = 0; R != Reps; ++R)
     for (uint32_t T = 0; T != C.NumShards; ++T)
-      pushDelta(T, E, Ctx);
+      pushDelta(T, E);
   FaultStorms.add(static_cast<uint64_t>(Reps) * C.NumShards);
   faults::FaultRecord SR;
   SR.K = faults::FaultKind::Storm;
@@ -661,7 +677,7 @@ void Engine::fanOutLocal(Shard &S, unsigned E, uint32_t DetectDense,
   for (uint32_t D : Subs) {
     if (D == DetectDense)
       continue; // the detector merges via its own Fresh set
-    if (Slots[D].E.test(E))
+    if (N.setBits(Slots[D].Tag).test(E))
       continue;
     mergeEventInto(S, D, E, Ctx);
     S.FastLearns.add();
@@ -834,8 +850,7 @@ void Engine::drainSelf(Shard &S) {
   // hops, not for a whole ring batch of chains.
   MsgBuf &Self = S.OutBufs[S.Index];
   while (Self.size() != 0) {
-    if (S.CtrlLaneSize.load(std::memory_order_acquire) != 0)
-      drainCtrlLane(S);
+    drainCtrlLane(S);
     std::swap(S.SelfProc, Self);
     for (size_t I = 0; I != S.SelfProc.size(); ++I) {
       if (I + 1 != S.SelfProc.size())
@@ -870,35 +885,30 @@ void Engine::releaseDelayed(Shard &S) {
 }
 
 size_t Engine::drainCtrlLane(Shard &S) {
-  // Move the lane out under the lock, merge outside it (the merges do
-  // RCU publication work; a detecting worker must never wait on that).
-  std::deque<Delta> Lane;
-  {
-    std::lock_guard<std::mutex> Lock(S.CtrlMu);
-    Lane.swap(S.CtrlLane);
-    S.CtrlLaneSize.store(0, std::memory_order_relaxed);
-  }
   // Each delta merges into this shard's subscribed switches as a
-  // single-event union in the common case; Ctx (the detection's
-  // consistent extension) is the causal fallback for registers that lack
+  // single-event transition in the common case; the event's context
+  // slot (the detection's consistent extension, published by the push
+  // this pop acquired) is the causal fallback for registers that lack
   // the event's enabling chain. Unsubscribed switches would not change
   // their table or detection behavior (under explicit broadcast every
-  // switch subscribes).
-  for (const Delta &Dl : Lane) {
+  // switch subscribes). An empty lane costs one check of its head cell.
+  size_t Drained = 0;
+  uint32_t E;
+  while (S.Ctrl->tryPop(E)) {
     for (uint32_t D :
-         SubSwitches[static_cast<size_t>(Dl.Event) * C.NumShards + S.Index])
-      mergeEventInto(S, D, Dl.Event, Dl.Ctx);
-    Pending.fetch_sub(1);
+         SubSwitches[static_cast<size_t>(E) * C.NumShards + S.Index])
+      mergeEventInto(S, D, E, EventCtx[E]);
+    ++Drained;
   }
-  return Lane.size();
+  if (Drained != 0)
+    Pending.fetch_sub(static_cast<int64_t>(Drained));
+  return Drained;
 }
 
 size_t Engine::drainBatch(Shard &S) {
   // Control deltas jump the data backlog: drain the priority lane
-  // before touching the ring. One relaxed load when the lane is empty.
-  size_t Ctrl = S.CtrlLaneSize.load(std::memory_order_acquire) != 0
-                    ? drainCtrlLane(S)
-                    : 0;
+  // before touching the ring.
+  size_t Ctrl = drainCtrlLane(S);
 
   if (C.Faults) {
     // The poll counter ticks on every call — including empty ones — so
@@ -971,8 +981,18 @@ size_t Engine::drainBatch(Shard &S) {
 
 void Engine::workerLoop(unsigned ShardIdx) {
   Shard &S = *Shards[ShardIdx];
+  // The classifier output slots take this worker's hottest writes (every
+  // hop copies a packet into one), so the worker gives them their room
+  // for a header itself, from memory its own thread allocates: sized on
+  // the constructing thread instead, they measured about 4% slower in a
+  // round-robin of update_storm runs. start() counted this set-up into
+  // Pending, so it is done before any awaitQuiescence() returns, and it
+  // precedes every packet this worker classifies.
+  for (size_t I = 0; I != C.BatchSize; ++I)
+    S.ClsOut[I].reserve(MsgRecord::MaxFields);
+  Pending.fetch_sub(1);
+
   uint64_t Spins = 0;
-  uint64_t SinceReclaim = 0;
   unsigned SleepUs = 1;
   // Streaming sink: hand on this iteration's log records, then promise
   // a watermark. The order is load-bearing — the flush precedes the
@@ -1016,11 +1036,6 @@ void Engine::workerLoop(unsigned ShardIdx) {
     if (N != 0) {
       Spins = 0;
       SleepUs = 1;
-      SinceReclaim += N;
-      if (SinceReclaim >= 1024) {
-        SinceReclaim = 0;
-        S.Retired.tryReclaim(Epochs.minActiveEpoch());
-      }
       continue;
     }
     if (StopFlag.load())
@@ -1060,6 +1075,8 @@ void Engine::start() {
   StartNs.store(monotonicNs());
   StopFlag.store(false);
 
+  // Each worker's set-up (workerLoop) is work in flight until it is done.
+  Pending.fetch_add(C.NumShards);
   for (unsigned I = 0; I != C.NumShards; ++I)
     Shards[I]->Thread = std::thread([this, I] { workerLoop(I); });
   Started = true;
@@ -1103,9 +1120,9 @@ void Engine::injectBatch(const Injection *Inj, size_t N) {
 }
 
 void Engine::awaitQuiescence() {
-  // Every message (packets, replies, update deltas) drains. Outputs and
-  // deltas are always counted into Pending before their inputs retire,
-  // so zero really means quiet.
+  // Every message (packets, replies, update deltas) drains, and every
+  // worker's set-up finishes. Outputs and deltas are always counted into
+  // Pending before their inputs retire, so zero really means quiet.
   while (Pending.load() != 0)
     std::this_thread::yield();
 }
@@ -1172,9 +1189,6 @@ void Engine::finish() {
   StopFlag.store(true);
   for (auto &S : Shards)
     S->Thread.join();
-
-  for (auto &S : Shards)
-    S->Retired.tryReclaim(Epochs.minActiveEpoch());
 
   mergeResults();
   Ran.store(true);
@@ -1306,7 +1320,7 @@ std::vector<obs::TraceEvent> Engine::timeline() const {
             {At - Base, Sw, E, TraceKind::RegisterLearn, Part.ShardOf[D]});
         Swaps.push_back(At);
       }
-    // One view swap per distinct learn stamp (see applyRegister), with
+    // One view store per distinct learn stamp (see applyRegister), with
     // the versions it published counting up from 1.
     std::sort(Swaps.begin(), Swaps.end());
     Swaps.erase(std::unique(Swaps.begin(), Swaps.end()), Swaps.end());
@@ -1409,7 +1423,8 @@ void Engine::addShardTotals(Stats &S, const Shard &Sh, const ShardStats &SS) {
 }
 
 Engine::ViewSnapshot Engine::readView(SwitchId Sw) const {
-  EpochDomain::ReadGuard Guard(Epochs);
-  const SwitchView *V = Slots[Idx.denseOf(Sw)].Published.load();
-  return ViewSnapshot{V->Tag, V->E, V->Version};
+  uint64_t View =
+      Slots[Idx.denseOf(Sw)].Published.load(std::memory_order_acquire);
+  auto Tag = static_cast<nes::SetId>(View);
+  return ViewSnapshot{Tag, N.setBits(Tag), View >> 32};
 }

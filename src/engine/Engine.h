@@ -10,17 +10,18 @@
 /// threads each own a shard of the topology's switches and exchange
 /// packets over lock-free MPSC queues. There is no controller thread:
 /// the worker that detects an event plays the Figure 7 CTRLRECV and
-/// CTRLSEND roles itself. It (a) pushes a single-event delta onto the
+/// CTRLSEND roles itself. It (a) pushes the event's id onto the
 /// priority lane of every *other* shard that subscribes to the event
 /// (the lane bypasses the data ring, so a delta never queues behind a
 /// storm backlog, and the receiving worker polls it between
 /// self-delivery rounds), then (b) applies the transition to its own
 /// subscribed switches. Merging a delta into a register is a union with
-/// occurred events (a single-event union that would leave the NES
-/// family — the register lacks one of the event's causes — falls back
-/// to merging the detection's consistent extension), so Definition 6 is
-/// unaffected. Per-switch event registers are single-writer (the owning
-/// shard), so the Section 4 tag/digest protocol runs without locks:
+/// occurred events: one read of the precompiled single-event transition
+/// table, or, when that union would leave the NES family (the register
+/// lacks one of the event's causes), a merge of the detection's
+/// consistent extension, so Definition 6 is unaffected. Per-switch event
+/// registers are single-writer (the owning shard), so the Section 4
+/// tag/digest protocol runs without locks:
 ///
 ///  - IN: an injected packet is stamped with the ingress switch's
 ///    current event-set tag by the owner, exactly the Figure 7 IN rule.
@@ -29,10 +30,12 @@
 ///    in flight never see a mixed configuration — the table a packet is
 ///    matched against is chosen by its immutable tag, and all lowered
 ///    pipelines are immutable), then extends the outgoing digest.
-///  - Configuration transitions are atomic pointer swaps of the
-///    switch's published view (tag + register); readers (stats, test
-///    monitors) are RCU-style lock-free, and old views are retired
-///    through an epoch domain (engine/Rcu.h).
+///  - A switch's register is always a member of the NES family, so it is
+///    held as its family index (the tag), and a configuration transition
+///    is one release store of the switch's view word (version << 32 |
+///    tag). A reader (stats, test monitors) takes one acquire load and
+///    reads the register as the tag's family member, which lives as long
+///    as the NES: a torn view cannot be formed, and nothing is retired.
 ///
 /// Each shard records every occurrence once, in one trace log of entries
 /// (ticketed from a global atomic counter and stamped with their time)
@@ -55,7 +58,6 @@
 #include "engine/Compiled.h"
 #include "engine/Partition.h"
 #include "engine/Queue.h"
-#include "engine/Rcu.h"
 #include "engine/Stats.h"
 #include "engine/TrafficGen.h"
 #include "faults/Injector.h"
@@ -175,7 +177,6 @@ class Engine {
 public:
   Engine(const nes::Nes &N, const topo::Topology &Topo,
          EngineConfig C = EngineConfig());
-  ~Engine();
 
   Engine(const Engine &) = delete;
   Engine &operator=(const Engine &) = delete;
@@ -199,7 +200,9 @@ public:
   // run() does. start/injectBatch/awaitQuiescence/finish must all be
   // called from the same thread.
 
-  /// Spins up the NumShards worker threads. Call once.
+  /// Spins up the NumShards worker threads. Each first sizes its own
+  /// buffers, which counts as work in flight: awaitQuiescence() waits for
+  /// it. Call once.
   void start();
   /// Hands \p N injections to their ingress shards: a shard's ring gets
   /// each BatchSize-message chunk as soon as it is staged, so the workers
@@ -210,7 +213,8 @@ public:
   /// overflow deque; the shed policies shed instead).
   void injectBatch(const Injection *Inj, size_t N);
   /// Blocks until every in-flight message (packets, echo replies,
-  /// update deltas) has drained.
+  /// update deltas) has drained and every worker has finished its
+  /// set-up.
   void awaitQuiescence();
   /// Nonblocking quiescence probe. Monotone for the single external
   /// driver: once true, only the driver's own injectBatch() can make it
@@ -311,13 +315,15 @@ public:
     return TransitionNs;
   }
 
-  /// An RCU read of a switch's published view: tag, register, and the
-  /// monotonic version stamped at each transition. Lock-free; callable
-  /// from any thread at any time.
+  /// A read of a switch's published view: tag, register, and the
+  /// monotonic version stamped at each transition. One acquire load of
+  /// the switch's view word; the register is the tag's family member
+  /// (structure().setBits(Tag)), valid as long as the NES. Lock-free;
+  /// callable from any thread at any time.
   struct ViewSnapshot {
-    nes::SetId Tag = 0;
-    DenseBitSet E;
-    uint64_t Version = 0;
+    nes::SetId Tag;
+    const DenseBitSet &E;
+    uint64_t Version;
   };
   ViewSnapshot readView(SwitchId Sw) const;
 
@@ -329,20 +335,16 @@ public:
   const PartitionResult &partition() const { return Part; }
 
 private:
-  /// The immutable state a switch publishes at every transition.
-  struct SwitchView {
-    nes::SetId Tag = 0;
-    DenseBitSet E;
-    uint64_t Version = 0;
-  };
-
-  /// Owner-private plus published per-switch state.
+  /// Owner-private plus published per-switch state. The register is
+  /// N.setBits(Tag), immutable for the NES's lifetime, so a transition
+  /// changes one family index.
   struct SwitchSlot {
     SwitchId Id = 0;
     uint32_t Shard = 0;
-    nes::SetId Tag = 0; ///< owner's working tag (== setIndex(E))
-    DenseBitSet E;      ///< owner's working register
-    std::atomic<const SwitchView *> Published{nullptr};
+    nes::SetId Tag = 0; ///< owner's working tag
+    /// The published view, Version << 32 | Tag: stored with release at
+    /// every transition (owner only), read with one acquire load.
+    std::atomic<uint64_t> Published{0};
   };
 
   /// A packet in flight with its Section 4 metadata.
@@ -408,13 +410,6 @@ private:
   };
   static_assert(sizeof(MsgRecord) == 128, "a record is two cache lines");
 
-  /// An update delta on a shard's priority lane: one detected event and
-  /// the detection's consistent extension as its causal fallback.
-  struct Delta {
-    uint32_t Event = 0;
-    DenseBitSet Ctx;
-  };
-
   /// The per-shard latency-histogram pair (heap-allocated only when
   /// EngineConfig::LatencyHistograms is on; ~15 KB each).
   struct ShardLatency {
@@ -439,21 +434,22 @@ private:
     /// first, then the overflow.
     std::mutex OverflowMu;
     std::deque<Msg> Overflow;
-    /// Priority update lane: deltas bypass the data ring entirely, so an
-    /// update is never stuck behind a storm backlog of data packets —
-    /// the owner drains this lane ahead of every ring batch and between
-    /// self-delivery rounds. Many producers (whichever worker detected
-    /// the event, including this one for fault-plan storms), single
-    /// consumer (the owner), serialized by CtrlMu; Size is the owner's
-    /// cheap emptiness probe, so the common empty case costs one load,
-    /// no lock. Shedding never touches the lane (dropping a delta would
-    /// wedge event propagation, not degrade it).
-    std::mutex CtrlMu;
-    std::deque<Delta> CtrlLane;
-    std::atomic<uint32_t> CtrlLaneSize{0};
-    RetireList<SwitchView> Retired;
+    /// Priority update lane of event ids: deltas bypass the data ring
+    /// entirely, so an update is never stuck behind a storm backlog of
+    /// data packets — the owner drains this lane ahead of every ring
+    /// batch and between self-delivery rounds, and an empty lane costs
+    /// one check of its head cell. Many producers (whichever worker
+    /// detected the event, including this one for fault-plan storms),
+    /// single consumer (the owner). Each event is detected once, so over
+    /// a run the lane takes at most NumEvents x (1 + CtrlStormRepeat)
+    /// deltas, and it is sized to that bound: a push never fails, and
+    /// shedding never touches the lane (dropping a delta would wedge
+    /// event propagation, not degrade it).
+    std::unique_ptr<BoundedMpscQueue<uint32_t>> Ctrl;
     std::thread Thread;
-    PacketBuf ClsOut; ///< recycled classifier outputs
+    /// Recycled classifier outputs; the worker sizes their headers
+    /// itself before it takes work (workerLoop).
+    PacketBuf ClsOut;
     /// Recycled dequeue batch slots: drainBatch unpacks each popped
     /// record into one, and the slot's vectors keep their capacity.
     std::vector<Msg> Batch;
@@ -464,13 +460,15 @@ private:
     std::vector<MsgRecord> Stage;
     std::vector<MsgBuf> OutBufs; ///< recycled egress, per target
     MsgBuf SelfProc; ///< swap space for draining OutBufs[Index] in place
-    /// Scratch bitsets for the SWITCH rule (capacity-reusing; the hot
-    /// loop builds no fresh DenseBitSets).
+    /// Scratch bitsets for the SWITCH rule, reserved to the NES's word
+    /// count at construction: neither the hot loop nor a detection
+    /// allocates for them.
     DenseBitSet ScratchKnown, ScratchFresh, ScratchExt, ScratchNew,
         ScratchDigest;
-    /// Scratch register for the update paths (shard-local fan-out and
-    /// delta merges); separate from the SWITCH-rule scratch so a
-    /// mid-detection fan-out cannot clobber the Known/Fresh sets.
+    /// Scratch register for the update paths' causal fallback (fan-out
+    /// and delta merges whose single-event transition is not in the
+    /// table); separate from the SWITCH-rule scratch so a mid-detection
+    /// fan-out cannot clobber the Known/Fresh sets.
     DenseBitSet ScratchFan;
     /// Per-message counters live on the shard that bumps them, so no two
     /// workers ever write the same counter line. Only the owner bumps
@@ -542,28 +540,29 @@ private:
   /// care about each event, grouped by owning shard, plus the per-event
   /// list of shards with at least one subscriber.
   void buildSubscriptions();
-  /// Pushes a delta for \p E, carrying \p Ctx as its causal fallback,
-  /// onto the priority lane of every subscribed shard other than the
-  /// detecting shard \p S.
-  void sendDeltas(Shard &S, unsigned E, const DenseBitSet &Ctx);
+  /// Pushes \p E onto the priority lane of every subscribed shard other
+  /// than the detecting shard \p S. Only the worker that won
+  /// DetectNs[E] calls it, after writing EventCtx[E].
+  void sendDeltas(Shard &S, unsigned E);
   /// Fault-plan storm: re-sends \p E's delta to every shard's lane
   /// CtrlStormRepeat times (idempotent: registers only grow) and ledgers
-  /// one Storm record in \p S's FaultRecs.
-  void sendStorm(Shard &S, unsigned E, const DenseBitSet &Ctx);
-  /// Counts one delta into Pending and appends it to \p Target's
-  /// priority lane.
-  void pushDelta(uint32_t Target, unsigned E, const DenseBitSet &Ctx);
+  /// one Storm record in \p S's FaultRecs. Same caller as sendDeltas.
+  void sendStorm(Shard &S, unsigned E);
+  /// Counts one delta into Pending and pushes \p E onto \p Target's
+  /// priority lane (the push's release publishes EventCtx[E]).
+  void pushDelta(uint32_t Target, unsigned E);
   /// Shard-local fast path: the detecting shard applies \p E to its own
-  /// subscribed switches immediately (one RCU swap each). \p DetectDense
+  /// subscribed switches immediately (one view store each). \p DetectDense
   /// learns via the SWITCH rule's own Fresh merge and is skipped here.
   /// \p Ctx is the detection's consistent extension — occurred events
   /// covering \p E's causes.
   void fanOutLocal(Shard &S, unsigned E, uint32_t DetectDense,
                    const DenseBitSet &Ctx);
-  /// Merges the single event \p E into \p Dense's register if new. When
-  /// the single-event union is not an NES family member (the register
-  /// lacks one of \p E's causes), merges \p Ctx — a set of occurred
-  /// events containing \p E's enabling chain — instead.
+  /// Merges the single event \p E into \p Dense's register if new: one
+  /// read of the transition table. When the single-event union is not an
+  /// NES family member (the register lacks one of \p E's causes), merges
+  /// \p Ctx — a set of occurred events containing \p E's enabling chain
+  /// — instead.
   void mergeEventInto(Shard &S, uint32_t Dense, unsigned E,
                       const DenseBitSet &Ctx);
   /// Drains \p S's priority update lane, merging each delta into the
@@ -591,7 +590,10 @@ private:
   void processPacket(Shard &S, EnginePacket &P);
   void forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
                   const netkat::Packet &Out, const DenseBitSet &OutDigest);
-  void applyRegister(Shard &S, uint32_t Dense, const DenseBitSet &NewE);
+  /// Moves \p Dense's register to the family member \p NewTag (a
+  /// superset of the current one): stamps the first learns and publishes
+  /// the view word.
+  void applyRegister(Shard &S, uint32_t Dense, nes::SetId NewTag);
   /// Pushes \p N already-Pending-counted messages into \p Target's ring,
   /// packing each BatchSize chunk into the producer's \p Stage records
   /// first. Messages too wide for a record go to the overflow deque.
@@ -651,8 +653,13 @@ private:
   std::vector<std::vector<uint32_t>> SubSwitches;
   /// Shards with at least one subscriber, per event (delta routing).
   std::vector<std::vector<uint32_t>> SubShards;
+  /// Per event, the detection's consistent extension: the causal
+  /// fallback of its lane merges. Reserved to the NES's word count at
+  /// construction and written once, by the worker that wins
+  /// DetectNs[E], before its first delta push for the event; the push's
+  /// release publishes it to every lane consumer.
+  std::vector<DenseBitSet> EventCtx;
 
-  mutable EpochDomain Epochs;
   std::atomic<uint64_t> Tickets{0};
   std::atomic<int64_t> Pending{0};
   std::atomic<bool> StopFlag{false};

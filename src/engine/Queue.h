@@ -13,7 +13,8 @@
 /// without locks. The engine uses one queue per shard (any shard or the
 /// injecting thread produces; only the owner consumes — MPSC), which
 /// degenerates to SPSC wait-free hand-off when exactly one producer is
-/// active.
+/// active, and a second one per shard, of event ids, as its priority
+/// update lane.
 ///
 /// Elements are trivially copyable: a cell is raw storage that producers
 /// write and the consumer reads with plain byte copies, so a push never

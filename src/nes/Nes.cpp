@@ -38,12 +38,23 @@ bool Nes::con(const DenseBitSet &X) const {
 bool Nes::enables(const DenseBitSet &X, EventId E) const {
   if (!con(X))
     return false;
+  // S \ {e} ⊆ X, word by word: e's bit is masked out of S's word instead
+  // of copying S, so the test allocates nothing (the engine runs it on
+  // every detection).
+  const uint64_t *XW = X.words();
+  size_t XN = X.numWords();
+  size_t EWord = E / 64;
+  uint64_t EBit = uint64_t(1) << (E % 64);
   for (const DenseBitSet &S : Family) {
     if (!S.test(E))
       continue;
-    DenseBitSet Rest = S;
-    Rest.reset(E);
-    if (Rest.isSubsetOf(X))
+    const uint64_t *SW = S.words();
+    bool Sub = true;
+    for (size_t I = 0; Sub && I != S.numWords(); ++I) {
+      uint64_t Rest = I == EWord ? SW[I] & ~EBit : SW[I];
+      Sub = (Rest & ~(I < XN ? XW[I] : 0)) == 0;
+    }
+    if (Sub)
       return true;
   }
   return false;

@@ -10,6 +10,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -591,10 +592,16 @@ void Server::serve(const std::atomic<bool> &Stop) {
   }
 
   // Tear everything down; counters of live sessions fold into Totals.
+  // A session torn down here may still hold client frames: what its
+  // socket has not handed over yet, and a partial frame already read.
+  // Both are discarded, so both are counted.
   std::vector<uint64_t> Conns;
   Conns.reserve(Tcp.size());
   for (const auto &[Conn, T] : Tcp) {
-    (void)T;
+    int Unread = 0;
+    if (::ioctl(T.Sock.get(), FIONREAD, &Unread) == 0 && Unread > 0)
+      Totals.UnreadAtStopBytes += static_cast<uint64_t>(Unread);
+    Totals.UnreadAtStopBytes += T.S->partialBytes();
     Conns.push_back(Conn);
   }
   for (uint64_t Conn : Conns)

@@ -67,7 +67,8 @@ struct ServerConfig {
   /// Accept no more than this many live sessions.
   size_t MaxSessions = 1 << 16;
   /// After a stop request, force-close whatever has not drained within
-  /// this budget.
+  /// this budget (ServerStats::UnreadAtStopBytes counts the client bytes
+  /// it discards).
   unsigned DrainTimeoutMs = 2000;
 };
 
@@ -92,6 +93,11 @@ struct ServerStats {
   uint64_t NonNetDeliveries = 0;  ///< deliveries without a conn tag
   uint64_t BarriersAcked = 0;
   uint64_t UdpDatagrams = 0;
+  /// Client bytes the final teardown discarded undecoded: each live TCP
+  /// session's unread socket data (FIONREAD) plus its partial frame
+  /// (which BytesIn already counts). Nonzero means the drain stopped
+  /// with client frames still in flight, not that the clients stopped.
+  uint64_t UnreadAtStopBytes = 0;
 };
 
 class Server : private Session::FrameHandler {

@@ -127,6 +127,10 @@ public:
   /// Anything left to write (or serialize)?
   bool wantsWrite() const { return txPending() != 0 || !Egress.empty(); }
 
+  /// Bytes of a frame begun but not yet complete: read (and counted in
+  /// BytesIn) but not decoded.
+  size_t partialBytes() const { return Rx.size(); }
+
 private:
   uint64_t Conn;
   SessionConfig C;

@@ -19,7 +19,10 @@
 //  - allocation-free forwarding: a warm engine performs no heap
 //    allocations per injected packet or echo reply, on the injecting
 //    thread or on the workers, and neither does a fresh engine whose
-//    rings are still on their first lap.
+//    rings are still on their first lap;
+//  - allocation-free updates: neither does a fresh engine whose storm
+//    fires an event (the detection, its lane deltas and every switch's
+//    register transition).
 //
 //===----------------------------------------------------------------------===//
 
@@ -472,6 +475,58 @@ TEST(ClassifierProperty, FreshEngineFirstLapAllocatesNothing) {
     EXPECT_EQ(S.EventsDetected, 1u) << "the warm phase's probe fired nothing";
     EXPECT_EQ(S.PacketsDelivered, 1u + WarmPackets + StormPackets)
         << "shards=" << Shards;
+  }
+}
+
+TEST(ClassifierProperty, FreshEngineEventAllocatesNothing) {
+  // The update_storm shape: a fresh engine takes one H1->H2 storm with a
+  // probe inside it, so the ring's event fires mid-storm and every switch
+  // learns it through the detection, the shard-local fan-out, the other
+  // shard's lane and digest gossip. A register is its family index, a
+  // published view is one word, a delta is an event id on a plain-data
+  // lane, and every scratch set was reserved at construction, so none of
+  // that allocates anywhere in the process.
+  apps::App A = apps::ringApp(16, 8);
+  api::Result<nes::CompiledProgram> C = nes::compileAst(A.Ast, A.Topo);
+  ASSERT_TRUE(C.ok()) << C.status().str();
+  ASSERT_EQ(C->N->numEvents(), 1u);
+
+  constexpr unsigned StormPackets = 8000;
+  for (unsigned Shards : {1u, 2u}) {
+    engine::EngineConfig Cfg;
+    Cfg.NumShards = Shards;
+    Cfg.RecordTrace = false;
+    ASSERT_LT(1 + StormPackets, Cfg.QueueCapacity);
+    engine::Engine E(*C->N, A.Topo, Cfg);
+
+    // Build the storm up front: the workload's own vectors are not the
+    // engine's allocations.
+    engine::TrafficGen G(A.Topo, 7);
+    engine::Workload Storm =
+        G.bulk(topo::HostH1, topo::HostH2, StormPackets, StormPackets);
+    std::vector<engine::Injection> &Inj = Storm.Phases[0].Injections;
+    engine::Workload Probe = G.probe(topo::HostH1, topo::HostH2);
+    Inj.insert(Inj.begin() + Inj.size() / 2, Probe.Phases[0].Injections[0]);
+
+    // The workers' own set-up (their classifier output slots) is done
+    // once the fresh engine is quiescent.
+    E.start();
+    E.awaitQuiescence();
+    uint64_t Before = GAllocs.load(std::memory_order_relaxed);
+    E.injectBatch(Inj.data(), Inj.size());
+    E.awaitQuiescence();
+    uint64_t After = GAllocs.load(std::memory_order_relaxed);
+    E.finish();
+
+    EXPECT_EQ(After - Before, 0u)
+        << "shards=" << Shards << ": " << (After - Before)
+        << " allocations over a storm of " << Inj.size()
+        << " that fires the event";
+    engine::Stats S = E.stats();
+    EXPECT_EQ(S.EventsDetected, 1u) << "shards=" << Shards;
+    EXPECT_EQ(S.PacketsDelivered, Inj.size()) << "shards=" << Shards;
+    EXPECT_EQ(E.learnTimes().size(), A.Topo.switches().size())
+        << "shards=" << Shards << ": not every switch learned the event";
   }
 }
 

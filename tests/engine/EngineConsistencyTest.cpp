@@ -345,7 +345,11 @@ TEST_P(EngineFaultConsistency, DefinitionSixHoldsWithZeroSilentLoss) {
   faults::FaultPlan Plan = namedPlan(PlanName);
   faults::Injector Inj(Plan);
 
-  for (auto Make : {firewallScenario, ringScenario}) {
+  // Multi-event apps too: auth (2 events) and bwcap (11) detect several
+  // events per run, and the "mixed" plan storms each one, so every lane
+  // takes up to NumEvents x (1 + CtrlStormRepeat) deltas, its bound.
+  for (auto Make :
+       {firewallScenario, authScenario, bwcapScenario, ringScenario}) {
     Scenario S = Make(23);
     ASSERT_TRUE(S.C.ok()) << S.A.Name << ": " << S.C.status().str();
 

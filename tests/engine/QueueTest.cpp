@@ -1,7 +1,6 @@
-//===- tests/engine/QueueTest.cpp - MPSC queue + RCU epoch tests ----------===//
+//===- tests/engine/QueueTest.cpp - Bounded MPSC queue tests --------------===//
 
 #include "engine/Queue.h"
-#include "engine/Rcu.h"
 
 #include <gtest/gtest.h>
 
@@ -174,65 +173,4 @@ TEST(Queue, MpscStressRecordElements) {
   for (auto &T : Ts)
     T.join();
   EXPECT_EQ(Q.tryPopBatch(Out, BatchMax), 0u);
-}
-
-namespace {
-struct Counted {
-  static int Live;
-  Counted() { ++Live; }
-  ~Counted() { --Live; }
-};
-int Counted::Live = 0;
-} // namespace
-
-TEST(Rcu, RetireWaitsForActiveReaders) {
-  EpochDomain D(2);
-  RetireList<Counted> RL;
-
-  unsigned Slot = D.acquireSlot();
-  D.enter(Slot); // reader active in the current epoch
-
-  const Counted *Obj = new Counted();
-  EXPECT_EQ(Counted::Live, 1);
-  uint64_t E = D.retireEpoch();
-  RL.retire(Obj, E);
-
-  // The reader entered before the retirement: must not reclaim.
-  RL.tryReclaim(D.minActiveEpoch());
-  EXPECT_EQ(Counted::Live, 1);
-  EXPECT_EQ(RL.pending(), 1u);
-
-  D.exit(Slot);
-  D.releaseSlot(Slot);
-
-  RL.tryReclaim(D.minActiveEpoch());
-  EXPECT_EQ(Counted::Live, 0);
-  EXPECT_EQ(RL.pending(), 0u);
-}
-
-TEST(Rcu, LateReaderDoesNotBlockReclaim) {
-  EpochDomain D(2);
-  RetireList<Counted> RL;
-
-  RL.retire(new Counted(), D.retireEpoch());
-
-  // A reader entering *after* the retirement epoch observes the new
-  // state; it must not pin the retired object.
-  unsigned Slot = D.acquireSlot();
-  D.enter(Slot);
-  RL.tryReclaim(D.minActiveEpoch());
-  EXPECT_EQ(Counted::Live, 0);
-  D.exit(Slot);
-  D.releaseSlot(Slot);
-}
-
-TEST(Rcu, GuardRoundTrip) {
-  EpochDomain D(1);
-  {
-    EpochDomain::ReadGuard G(D);
-    // One slot: a second guard would spin; just check the epoch pins.
-    EXPECT_LE(D.minActiveEpoch(), D.retireEpoch());
-  }
-  // Released: the slot is reusable.
-  EpochDomain::ReadGuard G2(D);
 }

@@ -100,6 +100,24 @@ TEST(Nes, ChainEnablement) {
   EXPECT_EQ(Seqs.size(), 4u);
 }
 
+TEST(Nes, EnablingAcrossWords) {
+  // A chain whose events sit in different 64-bit words: enables() masks
+  // e out of the family member word by word, and a shorter X reads as
+  // zero words beyond its end.
+  std::vector<Event> Events;
+  for (unsigned I = 0; I != 131; ++I)
+    Events.push_back(eventAt(1, I + 1));
+  Nes N = makeNes(std::move(Events),
+                  {bits({}), bits({70}), bits({70, 130}), bits({3, 70, 130})});
+  EXPECT_TRUE(N.enables(bits({}), 70));
+  EXPECT_FALSE(N.enables(bits({}), 130));
+  EXPECT_TRUE(N.enables(bits({70}), 130));
+  EXPECT_FALSE(N.enables(bits({70}), 3));
+  EXPECT_TRUE(N.enables(bits({70, 130}), 3));
+  EXPECT_FALSE(N.enables(bits({}), 5)); // in no family member
+  EXPECT_FALSE(N.enables(bits({5}), 70)); // X not consistent
+}
+
 TEST(Nes, ConIsDownwardClosed) {
   Nes N = makeNes({eventAt(1, 1), eventAt(2, 1), eventAt(3, 1)},
                   {bits({}), bits({0}), bits({0, 1}), bits({0, 1, 2})});

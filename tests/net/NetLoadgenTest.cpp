@@ -5,8 +5,9 @@
 // DeliverySink, driven by the multi-connection load generator over TCP
 // and UDP. Asserts the generator's own validation (every reply's seq was
 // sent, no protocol errors, no timeout), frame-level agreement between
-// the two ends of the wire, delivery conservation on the server, and
-// Definition 6 on the engine's recorded trace.
+// the two ends of the wire, delivery conservation on the server, byte
+// conservation at a stop that cuts the drain short, and Definition 6 on
+// the engine's recorded trace.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,12 +17,21 @@
 #include "consistency/Check.h"
 #include "net/Loadgen.h"
 #include "net/Server.h"
+#include "net/Socket.h"
+#include "sim/Wire.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
+#include <vector>
+
+#include <netinet/in.h>
+#include <sys/ioctl.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 using namespace eventnet;
 
@@ -243,4 +253,90 @@ TEST(NetLoadgen, StoppedRunIsNotOk) {
   EXPECT_FALSE(S.TimedOut);
   EXPECT_FALSE(S.ok());
   EXPECT_EQ(S.InjectsSent, 0u);
+}
+
+TEST(NetLoadgen, StopCountsUnreadClientBytes) {
+  // A drain that runs out of time tears its sessions down with client
+  // frames still unread. They were neither injected nor shed, so they are
+  // counted instead: every byte the client wrote was read (BytesIn) or
+  // discarded at the stop (UnreadAtStopBytes). The frames go out in one
+  // write smaller than a loopback segment, so the server reads all of
+  // them or none, and the stop cannot split one.
+  net::ServerConfig SC;
+  SC.DrainTimeoutMs = 0;
+  Loopback L(SC);
+  ASSERT_TRUE(L.C.ok()) << L.C.status().str();
+  ASSERT_TRUE(L.Opened);
+
+  net::Fd Sock(::socket(AF_INET, SOCK_STREAM, 0));
+  ASSERT_TRUE(Sock.valid());
+  sockaddr_in Sa{};
+  Sa.sin_family = AF_INET;
+  Sa.sin_port = htons(L.Srv.port());
+  Sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(Sock.get(), reinterpret_cast<sockaddr *>(&Sa),
+                      sizeof(Sa)),
+            0);
+  timeval Timeout{5, 0};
+  ::setsockopt(Sock.get(), SOL_SOCKET, SO_RCVTIMEO, &Timeout,
+               sizeof(Timeout));
+  auto WriteAll = [&](const std::vector<uint8_t> &Buf) {
+    for (size_t Off = 0; Off != Buf.size();) {
+      ssize_t N = ::write(Sock.get(), Buf.data() + Off, Buf.size() - Off);
+      if (N <= 0)
+        return false;
+      Off += static_cast<size_t>(N);
+    }
+    return true;
+  };
+
+  // The handshake first: the server has accepted the session before the
+  // stop, so its bytes are the session's to count.
+  sim::WireFrame Hello;
+  Hello.T = sim::WireFrame::Hello;
+  Hello.A = sim::WireProtoVersion;
+  std::vector<uint8_t> Out(sim::WireFrameBytes);
+  Out.resize(sim::encodeFrame(Hello, Out.data()));
+  ASSERT_TRUE(WriteAll(Out));
+  uint64_t Written = Out.size();
+  uint8_t In[sim::WireFrameBytes];
+  for (size_t Got = 0; Got != sizeof(In);) {
+    ssize_t N = ::read(Sock.get(), In + Got, sizeof(In) - Got);
+    ASSERT_GT(N, 0) << "no HelloAck";
+    Got += static_cast<size_t>(N);
+  }
+  sim::WireFrame Ack;
+  size_t Used = 0;
+  ASSERT_EQ(sim::decodeFrame(In, sizeof(In), Ack, Used), sim::FrameDecode::Ok);
+  ASSERT_EQ(Ack.T, sim::WireFrame::HelloAck);
+
+  constexpr unsigned K = 64;
+  Out.assign(K * sim::WireFrameBytes, 0);
+  size_t Len = 0;
+  for (unsigned I = 0; I != K; ++I) {
+    sim::WireFrame F;
+    F.T = sim::WireFrame::Inject;
+    F.A = Ack.A;
+    F.B = Ack.B;
+    F.Kind = sim::KindData;
+    F.Seq = I + 1;
+    Len += sim::encodeFrame(F, Out.data() + Len);
+  }
+  Out.resize(Len);
+  ASSERT_TRUE(WriteAll(Out));
+  Written += Out.size();
+  // Stop only once the server's socket has acknowledged every byte.
+  int Queued = -1;
+  for (int I = 0; I != 5000 && Queued != 0; ++I) {
+    ASSERT_EQ(::ioctl(Sock.get(), TIOCOUTQ, &Queued), 0);
+    if (Queued != 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(Queued, 0) << "the server never acknowledged the frames";
+  L.shutdown();
+
+  net::ServerStats SS = L.Srv.stats();
+  EXPECT_EQ(SS.BytesIn + SS.UnreadAtStopBytes, Written)
+      << SS.BytesIn << " bytes read, " << SS.UnreadAtStopBytes
+      << " discarded unread";
 }

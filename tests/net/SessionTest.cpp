@@ -1,7 +1,8 @@
 //===- tests/net/SessionTest.cpp - Framing state machine tests ------------===//
 //
 // The Session layer without sockets: incremental reassembly from
-// arbitrary read chunks, handshake-ordering enforcement for both roles,
+// arbitrary read chunks (and the partial frame it holds between them),
+// handshake-ordering enforcement for both roles,
 // malformed-prefix fatality, and the bounded egress queue under each
 // overload policy with every shed counted.
 //
@@ -87,6 +88,22 @@ TEST(Session, DecodesManyFramesFromOneChunk) {
   ASSERT_TRUE(S.ingest(Buf.data(), Buf.size(), H));
   EXPECT_EQ(H.Frames.size(), 51u);
   EXPECT_EQ(S.counters().ReassemblyPartial, 0u);
+}
+
+TEST(Session, PartialBytesAreTheUndecodedTail) {
+  // What a stop discards of a session already read: the bytes of a frame
+  // begun but not complete, and nothing once it completes.
+  Session S(7, SessionConfig());
+  Collect H;
+  std::vector<uint8_t> Buf =
+      bytesOf({frame(WireFrame::Hello), frame(WireFrame::Inject, 1)});
+  size_t Cut = sim::WireFrameBytes + 5;
+  ASSERT_TRUE(S.ingest(Buf.data(), Cut, H));
+  EXPECT_EQ(H.Frames.size(), 1u);
+  EXPECT_EQ(S.partialBytes(), 5u);
+  ASSERT_TRUE(S.ingest(Buf.data() + Cut, Buf.size() - Cut, H));
+  EXPECT_EQ(H.Frames.size(), 2u);
+  EXPECT_EQ(S.partialBytes(), 0u);
 }
 
 TEST(Session, RejectsTrafficBeforeHello) {
