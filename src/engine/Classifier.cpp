@@ -170,7 +170,9 @@ void Classifier::apply(const Packet &Pkt, PacketBuf &Out) const {
         uint32_t NumWrites = static_cast<uint32_t>(*P++);
         // Copy-assign into the recycled slot (one memcpy on a warmed
         // buffer — measured faster than a field-by-field merge), then
-        // apply the writes in place.
+        // apply the writes in place. An engine packet is located, so its
+        // pt write is one store into Fields[1] (Packet::set), not a
+        // search.
         Packet &O = Out.next();
         O = Pkt;
         for (uint32_t W = 0; W != NumWrites; ++W) {

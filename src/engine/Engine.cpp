@@ -101,18 +101,15 @@ Engine::Engine(const nes::Nes &N, const topo::Topology &Topo,
   // emits at most a batch of outputs per packet chain, and injectBatch
   // stages at most one chunk per ingress shard), so the hot loop's and
   // the injector's freelists never grow after construction. Every
-  // message slot also gets room for the widest ring record, so unpacking
-  // a record, building a hop or building an echo reply never grows a
-  // slot's vectors, not even on a fresh engine's first batch (each worker
-  // sizes its classifier output slots itself; see workerLoop).
-  auto FitRecord = [](Msg &M) {
-    M.P.Pkt.reserve(MsgRecord::MaxFields);
-    M.P.Digest.reserve(MsgRecord::MaxDigestWords);
-  };
+  // message slot also gets room for the widest ring record's header, so
+  // unpacking a record, building a hop (which swaps buffers with a
+  // classifier output slot) or building an echo reply never grows a
+  // packet, not even on a fresh engine's first batch (each worker sizes
+  // its classifier output slots itself; see workerLoop).
   auto PresizePool = [&](MsgBuf &B) {
     B.reserve(C.BatchSize);
     for (size_t I = 0; I != C.BatchSize; ++I)
-      FitRecord(B[I]);
+      B[I].P.Pkt.reserve(MsgRecord::MaxFields);
   };
   InjStage.resize(C.BatchSize);
   for (unsigned I = 0; I != C.NumShards; ++I) {
@@ -121,11 +118,11 @@ Engine::Engine(const nes::Nes &N, const topo::Topology &Topo,
     S->Q = std::make_unique<BoundedMpscQueue<MsgRecord>>(C.QueueCapacity);
     S->Ctrl = std::make_unique<BoundedMpscQueue<uint32_t>>(LaneBound);
     for (DenseBitSet *B : {&S->ScratchKnown, &S->ScratchFresh, &S->ScratchExt,
-                           &S->ScratchNew, &S->ScratchDigest, &S->ScratchFan})
+                           &S->ScratchNew, &S->ScratchFan})
       B->reserve(EventWords);
     S->Batch.resize(C.BatchSize);
     for (Msg &M : S->Batch)
-      FitRecord(M);
+      M.P.Pkt.reserve(MsgRecord::MaxFields);
     S->Stage.resize(C.BatchSize);
     S->OutBufs.resize(C.NumShards);
     for (MsgBuf &B : S->OutBufs)
@@ -230,12 +227,10 @@ void Engine::buildSubscriptions() {
 // Trace recording
 //===----------------------------------------------------------------------===//
 
-int64_t Engine::logEntry(Shard &S, const Packet &Lp, int64_t Parent,
-                         bool IsDelivery, nes::SetId Tag) {
-  if (!C.RecordTrace && !C.StreamTrace)
-    return -1;
-  // The time is taken only here, past the gate: with the log off the hot
-  // loop reads no clock for it.
+int64_t Engine::appendEntry(Shard &S, const Packet &Lp, int64_t Parent,
+                            bool IsDelivery, nes::SetId Tag) {
+  // The time is taken only here, past logEntry's gate: with the log off
+  // the hot loop reads no clock for it.
   uint64_t Ticket = Tickets.fetch_add(1);
   S.Log.push_back({StreamItem::Entry, Ticket, Parent, Lp, IsDelivery,
                    /*IsDup=*/false, Tag,
@@ -379,7 +374,7 @@ void Engine::overflowMsg(Shard &Dst, Msg &&M) {
 }
 
 void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
-                        const Packet &Out, const DenseBitSet &OutDigest) {
+                        Packet &Out, nes::SetId OutDigest) {
   // A table's actions rewrite pt (and header fields), never sw, so the
   // output sits at the switch we just processed — whose dense index the
   // caller already knows. Fall back to the hash only if a table ever
@@ -459,9 +454,10 @@ void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
 
   int64_t EgressTicket = logEntry(S, Out, P.Parent, false, P.Tag);
   uint32_t DstShard = Slots[Eg->DstDense].Shard;
+  // Every field of a hop but its header; the caller has put the header
+  // in M.P.Pkt, still at the egress location.
   auto FillHop = [&](Msg &M, int64_t ParentTicket, bool FromDup) {
     M.K = Msg::PacketIn;
-    M.P.Pkt = Out;
     M.P.Pkt.setLoc(Eg->Dst);
     M.P.Tag = P.Tag;
     M.P.Digest = OutDigest;
@@ -475,36 +471,50 @@ void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
     // Hold the hop back for DelayPolls drain iterations instead of
     // buffering it: later traffic overtakes it (reordering). Its
     // Pending share is taken here because flushOut will never see it.
+    S.FaultRecs.push_back(faults::Injector::recordAt(faults::FaultKind::Delay,
+                                                     At.Sw, At.Pt, Out));
     Shard::DelayedMsg DM;
     DM.Target = DstShard;
     DM.ReleaseAt =
         S.DrainPolls + std::max(1u, C.Faults->plan().DelayPolls);
+    DM.M.P.Pkt.swap(Out);
     FillHop(DM.M, EgressTicket, P.FromDup);
     Pending.fetch_add(1);
     S.Delayed.push_back(std::move(DM));
-    S.FaultRecs.push_back(faults::Injector::recordAt(faults::FaultKind::Delay,
-                                                     At.Sw, At.Pt, Out));
     FaultDelays.add();
     S.Forwarded.add();
     return;
   }
 
-  // Build the hop into a recycled egress slot (copy-assignments reuse
-  // the slot's heap capacity; nothing here allocates once warm).
-  FillHop(S.OutBufs[DstShard].next(), EgressTicket, P.FromDup);
-  S.Forwarded.add();
-
+  int64_t DupTicket = -1;
   if (FA == faults::Action::Dup) {
     // Second copy with its own egress entry (the trace stays a tree);
     // the log marks that entry so the checker prunes the duplicate
     // subtree before verifying Definition 6.
-    int64_t DupTicket = logEntry(S, Out, P.Parent, false, P.Tag);
+    DupTicket = logEntry(S, Out, P.Parent, false, P.Tag);
     if (DupTicket >= 0)
       S.Log.back().IsDup = true; // the entry just logged
-    FillHop(S.OutBufs[DstShard].next(), DupTicket, /*FromDup=*/true);
     S.FaultRecs.push_back(
         faults::Injector::recordAt(faults::FaultKind::Dup, At.Sw, At.Pt, Out));
     FaultDups.add();
+  }
+
+  // Build the hop into a recycled egress slot. The last hop built takes
+  // the classifier output's header by swap, and the output slot keeps the
+  // egress slot's buffer in return, so only a duplicated hop copies its
+  // header, into the first of its two slots; nothing here allocates.
+  MsgBuf &Buf = S.OutBufs[DstShard];
+  Msg &Hop = Buf.next();
+  if (FA == faults::Action::Dup)
+    Hop.P.Pkt = Out;
+  else
+    Hop.P.Pkt.swap(Out);
+  FillHop(Hop, EgressTicket, P.FromDup);
+  S.Forwarded.add();
+  if (FA == faults::Action::Dup) {
+    Msg &Twin = Buf.next(); // may grow Buf: Hop is not used past here
+    Twin.P.Pkt.swap(Out);
+    FillHop(Twin, DupTicket, /*FromDup=*/true);
     S.Forwarded.add();
   }
 }
@@ -525,14 +535,17 @@ void Engine::processPacket(Shard &S, EnginePacket &P) {
   // survives across packets — the hot loop builds no fresh DenseBitSets.
   //
   // Steady state (the throughput regime): the digest carries nothing the
-  // register lacks, so Known is the register itself — a subset test
-  // instead of a copy-and-union.
+  // register lacks, so Known is the register itself. The digest is a
+  // family index, usually the register's own (the sender had learned what
+  // this switch has), so an index compare settles it before any bitset
+  // is read, and a subset test the rest.
   const DenseBitSet &Reg = N.setBits(Sl.Tag);
-  bool DigestKnown = P.Digest.isSubsetOf(Reg);
+  bool DigestKnown =
+      P.Digest == Sl.Tag || N.setBits(P.Digest).isSubsetOf(Reg);
   const DenseBitSet *KnownP = &Reg;
   if (!DigestKnown) {
     S.ScratchKnown = Reg;
-    S.ScratchKnown |= P.Digest;
+    S.ScratchKnown |= N.setBits(P.Digest);
     KnownP = &S.ScratchKnown;
   }
   const DenseBitSet &Known = *KnownP;
@@ -580,12 +593,10 @@ void Engine::processPacket(Shard &S, EnginePacket &P) {
 
   // Merge from the *current* register, not the Known snapshot:
   // registers must only grow, whatever happened in between. In steady
-  // state nothing was learned: the register stands and doubles as the
-  // outgoing digest (P.Digest ⊆ E, so Digest | E == E) — no unions, no
+  // state nothing was learned: the register stands — no unions, no
   // transition check.
-  const DenseBitSet &Cur = N.setBits(Sl.Tag);
-  const DenseBitSet *OutDigestP = &Cur;
   if (!DigestKnown || !Fresh.empty()) {
+    const DenseBitSet &Cur = N.setBits(Sl.Tag);
     DenseBitSet &NewE = S.ScratchNew;
     NewE = Cur;
     NewE |= Known;
@@ -596,12 +607,10 @@ void Engine::processPacket(Shard &S, EnginePacket &P) {
       if (Tag)
         applyRegister(S, D, *Tag);
     }
-    DenseBitSet &OutDigest = S.ScratchDigest;
-    OutDigest = P.Digest;
-    OutDigest |= NewE;
-    OutDigestP = &OutDigest;
   }
-  const DenseBitSet &OutDigest = *OutDigestP;
+  // The outgoing digest, P.Digest ∪ NewE, is NewE (P.Digest ⊆ Known ⊆
+  // NewE): the register after the rule, sent on as its family index.
+  nes::SetId OutDigest = Sl.Tag;
 
   S.Processed.add();
   // One contiguous classifier program, outputs emitted into the shard's
@@ -690,7 +699,7 @@ void Engine::handleInject(Shard &S, Msg &M) {
   // Section 4 field is set afresh here.
   EnginePacket &P = M.P;
   SwitchSlot &Sl = Slots[P.Dense];
-  P.Digest.clear();
+  P.Digest = N.emptySet();
   P.FromDup = false;
   // IN rule: stamp the ingress switch's current tag. The emission is
   // logged now, at stamping time, so the trace's per-switch order places
@@ -724,8 +733,7 @@ void Engine::prefetchMsg(const Msg &M) const {
 
 bool Engine::MsgRecord::pack(const Msg &M) {
   const auto &Fields = M.P.Pkt.fields();
-  size_t Words = M.P.Digest.numWords();
-  if (Fields.size() > MaxFields || Words > MaxDigestWords)
+  if (Fields.size() > MaxFields)
     return false;
   Parent = M.P.Parent;
   EnqNs = M.EnqNs;
@@ -733,12 +741,11 @@ bool Engine::MsgRecord::pack(const Msg &M) {
     Ids[I] = Fields[I].first;
     Vals[I] = Fields[I].second;
   }
-  std::copy_n(M.P.Digest.words(), Words, Digest);
   Tag = M.P.Tag;
+  Digest = M.P.Digest;
   From = M.From;
   Dense = M.P.Dense;
   NumFields = static_cast<uint8_t>(Fields.size());
-  NumWords = static_cast<uint8_t>(Words);
   K = M.K;
   IngressLogged = M.P.IngressLogged;
   FromDup = M.P.FromDup;
@@ -751,7 +758,7 @@ void Engine::MsgRecord::unpack(Msg &M) const {
   M.EnqNs = EnqNs;
   M.P.Pkt.assignSorted(Ids, Vals, NumFields);
   M.P.Tag = Tag;
-  M.P.Digest.assignWords(Digest, NumWords);
+  M.P.Digest = Digest;
   M.P.Parent = Parent;
   M.P.Dense = Dense;
   M.P.IngressLogged = IngressLogged;
@@ -982,12 +989,14 @@ size_t Engine::drainBatch(Shard &S) {
 void Engine::workerLoop(unsigned ShardIdx) {
   Shard &S = *Shards[ShardIdx];
   // The classifier output slots take this worker's hottest writes (every
-  // hop copies a packet into one), so the worker gives them their room
-  // for a header itself, from memory its own thread allocates: sized on
-  // the constructing thread instead, they measured about 4% slower in a
-  // round-robin of update_storm runs. start() counted this set-up into
-  // Pending, so it is done before any awaitQuiescence() returns, and it
-  // precedes every packet this worker classifies.
+  // hop's header is copied into one, then swapped into its egress slot),
+  // so the worker gives them their room for a header itself, from memory
+  // its own thread allocates. Sized on the constructing thread instead,
+  // update_storm read 1-3% lower throughput and 7% higher p50 latency
+  // (10 alternating 20 s pairs on a 4-vCPU Xeon); the cause is not
+  // located. start() counted this set-up into Pending, so it is done
+  // before any awaitQuiescence() returns, and it precedes every packet
+  // this worker classifies.
   for (size_t I = 0; I != C.BatchSize; ++I)
     S.ClsOut[I].reserve(MsgRecord::MaxFields);
   Pending.fetch_sub(1);

@@ -29,7 +29,8 @@
 ///    fresh events, forwards with the *stamped* tag's pipeline (packets
 ///    in flight never see a mixed configuration — the table a packet is
 ///    matched against is chosen by its immutable tag, and all lowered
-///    pipelines are immutable), then extends the outgoing digest.
+///    pipelines are immutable), and sends its register on as the outgoing
+///    digest (the digest it received is part of what it learned).
 ///  - A switch's register is always a member of the NES family, so it is
 ///    held as its family index (the tag), and a configuration transition
 ///    is one release store of the switch's view word (version << 32 |
@@ -351,7 +352,11 @@ private:
   struct EnginePacket {
     netkat::Packet Pkt;
     nes::SetId Tag = 0;
-    DenseBitSet Digest;
+    /// The digest, as a family index: a hop's digest is its sender's
+    /// register after the SWITCH rule (which has learned the digest the
+    /// sender received, so it contains it, and is a family member by
+    /// Lemma 3); an injection's is N.emptySet().
+    nes::SetId Digest = 0;
     int64_t Parent = -1; ///< trace ticket of the producing occurrence
     uint32_t Dense = 0;  ///< dense index of Pkt.sw() (set by the sender,
                          ///< so the hot loop never hashes a SwitchId)
@@ -378,27 +383,25 @@ private:
 
   /// A Msg flattened into plain data: the form it takes in a data ring's
   /// cell. The producer packs each Msg into one (pushBatchToShard) and the
-  /// owner unpacks each into a recycled Batch slot whose vectors keep
-  /// their capacity (drainBatch), so a push copies bytes and allocates
-  /// nothing, on a ring's first lap or any later one. A Msg with more
-  /// than MaxFields header fields or MaxDigestWords digest words does not
-  /// fit and travels the overflow deque instead; every sim/Wire.h packet
-  /// fits (sw, pt, ip_src, ip_dst, kind, seq, probe and conn at most).
-  /// The fields are ordered so a record fills exactly two cache lines.
+  /// owner unpacks each into a recycled Batch slot whose packet keeps its
+  /// capacity (drainBatch), so a push copies bytes and allocates nothing,
+  /// on a ring's first lap or any later one. The digest is one family
+  /// index, so it fits whatever the NES's event count; a Msg with more
+  /// than MaxFields header fields does not fit and travels the overflow
+  /// deque instead. Every sim/Wire.h packet fits (sw, pt, ip_src, ip_dst,
+  /// kind, seq, probe and conn at most). A record fills two cache lines.
   struct alignas(64) MsgRecord {
     static constexpr unsigned MaxFields = 8;
-    static constexpr unsigned MaxDigestWords = 2; ///< events 0..127
 
     int64_t Parent;
     int64_t EnqNs;
     Value Vals[MaxFields]; ///< field values, parallel to Ids
-    uint64_t Digest[MaxDigestWords];
     nes::SetId Tag;
+    nes::SetId Digest;
     HostId From;
     uint32_t Dense;
     FieldId Ids[MaxFields]; ///< field ids, strictly increasing
     uint8_t NumFields;
-    uint8_t NumWords;
     Msg::Kind K;
     bool IngressLogged : 1;
     bool FromDup : 1;
@@ -448,7 +451,9 @@ private:
     std::unique_ptr<BoundedMpscQueue<uint32_t>> Ctrl;
     std::thread Thread;
     /// Recycled classifier outputs; the worker sizes their headers
-    /// itself before it takes work (workerLoop).
+    /// itself before it takes work (workerLoop). A hop swaps its output
+    /// into its egress slot (forwardOut), so these slots trade buffers
+    /// with the message slots as the run goes.
     PacketBuf ClsOut;
     /// Recycled dequeue batch slots: drainBatch unpacks each popped
     /// record into one, and the slot's vectors keep their capacity.
@@ -463,8 +468,7 @@ private:
     /// Scratch bitsets for the SWITCH rule, reserved to the NES's word
     /// count at construction: neither the hot loop nor a detection
     /// allocates for them.
-    DenseBitSet ScratchKnown, ScratchFresh, ScratchExt, ScratchNew,
-        ScratchDigest;
+    DenseBitSet ScratchKnown, ScratchFresh, ScratchExt, ScratchNew;
     /// Scratch register for the update paths' causal fallback (fan-out
     /// and delta merges whose single-event transition is not in the
     /// table); separate from the SWITCH-rule scratch so a mid-detection
@@ -588,8 +592,11 @@ private:
   /// stamped and processed from its slot.
   void handleInject(Shard &S, Msg &M);
   void processPacket(Shard &S, EnginePacket &P);
+  /// Delivers, drops or forwards the classifier output \p Out of \p P at
+  /// \p AtDense. A forwarded hop takes \p Out's buffer by swap, so \p Out
+  /// is left holding a recycled one.
   void forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
-                  const netkat::Packet &Out, const DenseBitSet &OutDigest);
+                  netkat::Packet &Out, nes::SetId OutDigest);
   /// Moves \p Dense's register to the family member \p NewTag (a
   /// superset of the current one): stamps the first learns and publishes
   /// the view word.
@@ -604,8 +611,16 @@ private:
   /// Pushes \p N packed records into \p Dst's ring (batch CAS), retrying
   /// under Block, and spills what does not fit to the overflow deque.
   void pushRecords(Shard &Dst, const MsgRecord *Recs, size_t N);
+  /// Logs one trace entry and returns its ticket, or -1 with the log
+  /// off: the gate is inline, so an untraced hop makes no call here.
   int64_t logEntry(Shard &S, const netkat::Packet &Lp, int64_t Parent,
-                   bool IsDelivery, nes::SetId Tag);
+                   bool IsDelivery, nes::SetId Tag) {
+    if (!C.RecordTrace && !C.StreamTrace)
+      return -1;
+    return appendEntry(S, Lp, Parent, IsDelivery, Tag);
+  }
+  int64_t appendEntry(Shard &S, const netkat::Packet &Lp, int64_t Parent,
+                      bool IsDelivery, nes::SetId Tag);
   void mergeResults();
   /// Merges the logs into trace(), traceTags(), the entry times and the
   /// ledger's indices, then releases the logs.

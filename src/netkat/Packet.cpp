@@ -21,7 +21,7 @@ bool Packet::has(FieldId F) const {
   return It != Fields.end() && It->first == F;
 }
 
-Value Packet::get(FieldId F) const {
+Value Packet::lookup(FieldId F) const {
   auto It = std::lower_bound(
       Fields.begin(), Fields.end(), F,
       [](const std::pair<FieldId, Value> &P, FieldId X) { return P.first < X; });
@@ -38,7 +38,7 @@ Value Packet::getOr(FieldId F, Value Default) const {
   return It->second;
 }
 
-void Packet::set(FieldId F, Value V) {
+void Packet::insertOrAssign(FieldId F, Value V) {
   auto It = std::lower_bound(
       Fields.begin(), Fields.end(), F,
       [](const std::pair<FieldId, Value> &P, FieldId X) { return P.first < X; });

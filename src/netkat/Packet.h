@@ -42,14 +42,26 @@ public:
   /// Returns true if field \p F is present.
   bool has(FieldId F) const;
 
-  /// Returns the value of field \p F; asserts that it is present.
-  Value get(FieldId F) const;
+  /// Returns the value of field \p F; asserts that it is present. A
+  /// location field of a located packet is read in place (see located()).
+  Value get(FieldId F) const {
+    if (F <= FieldPt && located())
+      return Fields[F].second;
+    return lookup(F);
+  }
 
   /// Returns the value of field \p F, or \p Default if absent.
   Value getOr(FieldId F, Value Default) const;
 
-  /// Sets field \p F to \p V (pkt[f <- n] in the paper).
-  void set(FieldId F, Value V);
+  /// Sets field \p F to \p V (pkt[f <- n] in the paper). A location field
+  /// of a located packet is written in place (see located()).
+  void set(FieldId F, Value V) {
+    if (F <= FieldPt && located()) {
+      Fields[F].second = V;
+      return;
+    }
+    insertOrAssign(F, V);
+  }
 
   /// Removes field \p F if present.
   void erase(FieldId F);
@@ -71,6 +83,21 @@ public:
       assert((I == 0 || Ids[I - 1] < Ids[I]) && "fields out of order");
       Fields[I] = {Ids[I], Vals[I]};
     }
+  }
+
+  /// Exchanges the fields with \p O, buffers included: the engine moves a
+  /// classifier output into a recycled egress slot this way, and the
+  /// output slot keeps the egress slot's capacity in return.
+  void swap(Packet &O) noexcept { Fields.swap(O.Fields); }
+
+  /// True when both location fields are present. FieldSw and FieldPt are
+  /// the two smallest field ids, so a located packet holds them in
+  /// Fields[0] and Fields[1], and get() and set() on either (so the
+  /// location accessors below) read and write them there without a
+  /// search; on any other packet they fall back to the search.
+  bool located() const {
+    return Fields.size() >= 2 && Fields[0].first == FieldSw &&
+           Fields[1].first == FieldPt;
   }
 
   /// Location accessors (reserved sw/pt fields).
@@ -103,6 +130,14 @@ public:
   size_t hash() const;
 
 private:
+  static_assert(FieldSw == 0 && FieldPt == 1,
+                "the location fields sort first");
+
+  /// get() and set() by binary search (set() inserts an absent field in
+  /// order).
+  Value lookup(FieldId F) const;
+  void insertOrAssign(FieldId F, Value V);
+
   std::vector<std::pair<FieldId, Value>> Fields;
 };
 

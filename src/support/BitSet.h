@@ -56,17 +56,9 @@ public:
   void reserve(size_t NumWords) { Words.reserve(NumWords); }
 
   /// The packed words, lowest members first, with trailing zero words
-  /// normalized away: with assignWords, the raw path that copies a set
-  /// through a fixed-size record.
+  /// normalized away (Nes::enables tests subsets word by word on them).
   size_t numWords() const { return Words.size(); }
   const uint64_t *words() const { return Words.data(); }
-
-  /// Replaces the members with the \p N packed words at \p W, keeping
-  /// the allocated capacity.
-  void assignWords(const uint64_t *W, size_t N) {
-    Words.assign(W, W + N);
-    normalize();
-  }
 
   /// Removes \p Bit.
   void reset(unsigned Bit) {

@@ -180,6 +180,39 @@ TEST(EngineConsistency, StaticRoutingQuiescent) {
   EXPECT_TRUE(R.Correct) << R.Reason;
 }
 
+TEST(EngineConsistency, CounterChainPastEvent128) {
+  // A cap of 130 is a chain of 131 events, one per counter step, so the
+  // registers and the digests the hops carry reach past event 128 (three
+  // bitset words). A digest travels as its family index, so every hop
+  // still fits a ring record, whatever the event count.
+  apps::App A = apps::bandwidthCapApp(130);
+  api::Result<api::Compilation> C = compileApp(A);
+  ASSERT_TRUE(C.ok()) << C.status().str();
+  const nes::Nes &N = C->structure();
+  ASSERT_EQ(N.numEvents(), 131u);
+
+  EngineConfig Cfg;
+  Cfg.NumShards = 2;
+  Engine E(N, A.Topo, Cfg);
+  TrafficGen G(A.Topo, 17);
+  Workload W;
+  // One ping per phase steps the counter once; the last two pings meet
+  // the cap.
+  for (int I = 0; I != 133; ++I)
+    W += G.ping(topo::HostH1, topo::HostH4);
+  E.run(W);
+
+  Stats S = E.stats();
+  EXPECT_EQ(S.EventsDetected, 131u);
+  for (nes::EventId Ev = 0; Ev != N.numEvents(); ++Ev)
+    EXPECT_TRUE(E.learnTimes().count({N.event(Ev).Loc.Sw, Ev}))
+        << "event " << Ev << " was not detected at its switch";
+  EXPECT_EQ(S.PacketsDelivered + S.PacketsDropped, S.PacketsInjected);
+
+  auto R = consistency::checkAgainstNes(E.trace(), A.Topo, N);
+  EXPECT_TRUE(R.Correct) << R.Reason;
+}
+
 class EngineBackpressure : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(EngineBackpressure, TinyQueuesNeverDeadlockOrDrop) {
