@@ -120,6 +120,7 @@ Engine::Engine(const nes::Nes &N, const topo::Topology &Topo,
     for (DenseBitSet *B : {&S->ScratchKnown, &S->ScratchFresh, &S->ScratchExt,
                            &S->ScratchNew, &S->ScratchFan})
       B->reserve(EventWords);
+    S->Group.reserve(Part.ShardSwitches[I]);
     S->Batch.resize(C.BatchSize);
     for (Msg &M : S->Batch)
       M.P.Pkt.reserve(MsgRecord::MaxFields);
@@ -295,28 +296,47 @@ uint64_t Engine::streamBacklog() {
 //===----------------------------------------------------------------------===//
 
 void Engine::applyRegister(Shard &S, uint32_t Dense, nes::SetId NewTag) {
+  // The working tag moves at once, so the rest of the group and the data
+  // path read the new register. Outside a group every working tag equals
+  // its published one, and every move strictly grows the register, so a
+  // switch whose tags still agree is not yet in this group.
   SwitchSlot &Sl = Slots[Dense];
-  const DenseBitSet &Old = N.setBits(Sl.Tag);
-
-  // One monotonic clock for the whole update-latency measurement:
-  // DetectNs and LearnNs are both raw monotonicNs(), so the Transition
-  // digest is a pure difference on one time base. Registers only grow,
-  // so a bit new to the register is a first learn and its slot is still
-  // unset. Every call learns at least one event, all at this one stamp,
-  // so a switch's distinct learn stamps are its view stores (timeline()).
-  int64_t Now = monotonicNs();
-  int64_t *Learn = &LearnNs[static_cast<size_t>(Dense) * N.numEvents()];
-  N.setBits(NewTag).forEach([&](unsigned E) {
-    if (!Old.test(E))
-      Learn[E] = Now;
-  });
+  if (Sl.Tag ==
+      static_cast<nes::SetId>(Sl.Published.load(std::memory_order_relaxed)))
+    S.Group.push_back({Dense, Sl.Tag});
   Sl.Tag = NewTag;
+}
 
-  // The atomic transition: one release store of the view word. The
-  // owner is its only writer, so the version is read back relaxed.
-  uint64_t Version = (Sl.Published.load(std::memory_order_relaxed) >> 32) + 1;
-  Sl.Published.store(Version << 32 | NewTag, std::memory_order_release);
-  S.Transitions.add();
+void Engine::publishGroup(Shard &S) {
+  if (S.Group.empty())
+    return;
+  // The atomic transitions: one release store of each moved switch's
+  // view word, however many of the group's merges moved it. The owner is
+  // its only writer, so the version is read back relaxed.
+  for (const Shard::Moved &M : S.Group) {
+    SwitchSlot &Sl = Slots[M.Dense];
+    uint64_t Version =
+        (Sl.Published.load(std::memory_order_relaxed) >> 32) + 1;
+    Sl.Published.store(Version << 32 | Sl.Tag, std::memory_order_release);
+  }
+  // One clock read for the whole group, after its stores: each learn's
+  // stamp is an upper bound on it and never precedes its view. DetectNs
+  // and LearnNs are both raw monotonicNs(), so the Transition digest is
+  // a pure difference on one time base. Registers only grow, so a bit
+  // new to the register is a first learn and its slot is still unset;
+  // every moved switch learns at least one event at this stamp, so a
+  // switch's distinct learn stamps are its view stores (timeline()).
+  int64_t Now = monotonicNs();
+  for (const Shard::Moved &M : S.Group) {
+    const DenseBitSet &Old = N.setBits(M.Old);
+    int64_t *Learn = &LearnNs[static_cast<size_t>(M.Dense) * N.numEvents()];
+    N.setBits(Slots[M.Dense].Tag).forEach([&](unsigned E) {
+      if (!Old.test(E))
+        Learn[E] = Now;
+    });
+  }
+  S.Transitions.add(S.Group.size());
+  S.Group.clear();
 }
 
 void Engine::pushDelta(uint32_t Target, unsigned E) {
@@ -574,7 +594,7 @@ void Engine::processPacket(Shard &S, EnginePacket &P) {
       // publishes. Deltas go out first, so the other shards' workers
       // merge in parallel with the local fan-out; then every subscribed
       // switch this shard owns transitions, one function call after
-      // detection.
+      // detection (its view is stored with the SWITCH rule's, below).
       if (First) {
         EventCtx[E] = Ext;
         sendDeltas(S, E);
@@ -596,17 +616,32 @@ void Engine::processPacket(Shard &S, EnginePacket &P) {
   // state nothing was learned: the register stands — no unions, no
   // transition check.
   if (!DigestKnown || !Fresh.empty()) {
-    const DenseBitSet &Cur = N.setBits(Sl.Tag);
-    DenseBitSet &NewE = S.ScratchNew;
-    NewE = Cur;
-    NewE |= Known;
-    NewE |= Fresh;
-    if (NewE != Cur) {
-      auto Tag = N.setIndex(NewE);
-      assert(Tag && "switch register left the NES family (Lemma 3)");
-      if (Tag)
-        applyRegister(S, D, *Tag);
+    // The common case, one fresh event on a known digest, is one read of
+    // the single-event transition table: the register is still Reg (a
+    // local fan-out skips the detecting switch), so the merge is
+    // Reg ∪ {E}. Anything else, or a union that table lacks, builds the
+    // union and looks it up in the family.
+    std::optional<nes::SetId> Tag;
+    if (DigestKnown && Fresh.count() == 1) {
+      assert(&N.setBits(Sl.Tag) == &Reg && "register moved mid-rule");
+      Fresh.forEach([&](unsigned E) { Tag = Compiled.next(Sl.Tag, E); });
     }
+    if (!Tag) {
+      const DenseBitSet &Cur = N.setBits(Sl.Tag);
+      DenseBitSet &NewE = S.ScratchNew;
+      NewE = Cur;
+      NewE |= Known;
+      NewE |= Fresh;
+      if (NewE != Cur) {
+        Tag = N.setIndex(NewE);
+        assert(Tag && "switch register left the NES family (Lemma 3)");
+      }
+    }
+    if (Tag)
+      applyRegister(S, D, *Tag);
+    // The merge group ends here: a detection's local fan-out and this
+    // switch's learns publish together.
+    publishGroup(S);
   }
   // The outgoing digest, P.Digest ∪ NewE, is NewE (P.Digest ⊆ Known ⊆
   // NewE): the register after the rule, sent on as its family index.
@@ -716,6 +751,12 @@ void Engine::handleInject(Shard &S, Msg &M) {
 //===----------------------------------------------------------------------===//
 
 void Engine::processMsg(Shard &S, Msg &M) {
+  // Every drain loop (ring batch, self-delivery, delayed release) runs
+  // its messages through here, so a published delta merges before the
+  // next hop instead of waiting out a batch or a self-delivery round;
+  // an empty lane costs two loads.
+  if (S.Ctrl->headReady())
+    drainCtrlLane(S);
   if (M.K == Msg::PacketIn)
     processPacket(S, M.P);
   else
@@ -852,12 +893,10 @@ void Engine::drainSelf(Shard &S) {
   // Self-delivery: hops that stay on this shard never touch the MPSC
   // ring (no cell copies, no queue atomics, no Pending churn) — they
   // are drained in place until every chain ends or leaves the shard.
-  // A chain can stay on the shard for many rounds, so the control lane
-  // is polled between rounds: a delta waits for at most one round of
-  // hops, not for a whole ring batch of chains.
+  // A chain can stay on the shard for many rounds; processMsg checks the
+  // control lane before each hop, so a delta waits for one hop at most.
   MsgBuf &Self = S.OutBufs[S.Index];
   while (Self.size() != 0) {
-    drainCtrlLane(S);
     std::swap(S.SelfProc, Self);
     for (size_t I = 0; I != S.SelfProc.size(); ++I) {
       if (I + 1 != S.SelfProc.size())
@@ -907,6 +946,9 @@ size_t Engine::drainCtrlLane(Shard &S) {
       mergeEventInto(S, D, E, EventCtx[E]);
     ++Drained;
   }
+  // The drain is one merge group: each moved switch's view is stored
+  // once, and one clock read stamps every learn.
+  publishGroup(S);
   if (Drained != 0)
     Pending.fetch_sub(static_cast<int64_t>(Drained));
   return Drained;
@@ -1263,9 +1305,12 @@ void Engine::mergeResults() {
       int64_t Ns = DetectNs[E]->load();
       if (Ns < 0)
         continue;
+      // A learn's group stamp is read after the learn, which follows the
+      // detection's stamp (see publishGroup).
       int64_t Lat = LearnAt - Ns;
-      TransitionNs.push_back(Lat > 0 ? Lat : 0);
-      UpdateNs.record(Lat > 0 ? static_cast<uint64_t>(Lat) : 0);
+      assert(Lat >= 0 && "a learn stamped before its event's detection");
+      TransitionNs.push_back(Lat);
+      UpdateNs.record(static_cast<uint64_t>(Lat));
     }
   FinalStats.Transition = digestFrom(UpdateNs.snapshot(), 1e-9);
 }

@@ -13,12 +13,12 @@
 /// CTRLSEND roles itself. It (a) pushes the event's id onto the
 /// priority lane of every *other* shard that subscribes to the event
 /// (the lane bypasses the data ring, so a delta never queues behind a
-/// storm backlog, and the receiving worker polls it between
-/// self-delivery rounds), then (b) applies the transition to its own
-/// subscribed switches. Merging a delta into a register is a union with
-/// occurred events: one read of the precompiled single-event transition
-/// table, or, when that union would leave the NES family (the register
-/// lacks one of the event's causes), a merge of the detection's
+/// storm backlog, and the receiving worker checks the lane's head before
+/// every message it processes), then (b) applies the transition to its
+/// own subscribed switches. Merging a delta into a register is a union
+/// with occurred events: one read of the precompiled single-event
+/// transition table, or, when that union would leave the NES family (the
+/// register lacks one of the event's causes), a merge of the detection's
 /// consistent extension, so Definition 6 is unaffected. Per-switch event
 /// registers are single-writer (the owning shard), so the Section 4
 /// tag/digest protocol runs without locks:
@@ -34,9 +34,12 @@
 ///  - A switch's register is always a member of the NES family, so it is
 ///    held as its family index (the tag), and a configuration transition
 ///    is one release store of the switch's view word (version << 32 |
-///    tag). A reader (stats, test monitors) takes one acquire load and
-///    reads the register as the tag's family member, which lives as long
-///    as the NES: a torn view cannot be formed, and nothing is retired.
+///    tag), made once per switch per merge group: one detection's local
+///    fan-out plus its SWITCH rule, or one lane drain. The group then
+///    reads the clock once and stamps all its learns with that time. A
+///    reader (stats, test monitors) takes one acquire load and reads the
+///    register as the tag's family member, which lives as long as the
+///    NES: a torn view cannot be formed, and nothing is retired.
 ///
 /// Each shard records every occurrence once, in one trace log of entries
 /// (ticketed from a global atomic counter and stamped with their time)
@@ -302,7 +305,10 @@ public:
 
   /// Seconds after run() start at which each switch first learned each
   /// event (valid after run) — the Figure 16(b) measurement. Derived
-  /// from the monotonic per-shard learn stamps at merge time.
+  /// from the monotonic learn stamps at merge time. A learn's stamp is
+  /// its merge group's one clock read, taken after the group's view
+  /// stores: an upper bound on the learn, never earlier than its store,
+  /// and never earlier than the event's detection.
   const std::map<std::pair<SwitchId, nes::EventId>, double> &
   learnTimes() const {
     return MergedLearnTimes;
@@ -311,7 +317,9 @@ public:
   /// Raw event-detection -> register-learn latencies in nanoseconds,
   /// one sample per (switch, event) learn (valid after run) — what the
   /// Transition digest summarizes. Exposed raw so benches can merge
-  /// percentiles across repeated runs.
+  /// percentiles across repeated runs. Each runs from the detection
+  /// stamp to the learn's group stamp (see learnTimes()), so none is
+  /// negative.
   const std::vector<int64_t> &transitionLatenciesNs() const {
     return TransitionNs;
   }
@@ -440,14 +448,15 @@ private:
     /// Priority update lane of event ids: deltas bypass the data ring
     /// entirely, so an update is never stuck behind a storm backlog of
     /// data packets — the owner drains this lane ahead of every ring
-    /// batch and between self-delivery rounds, and an empty lane costs
-    /// one check of its head cell. Many producers (whichever worker
-    /// detected the event, including this one for fault-plan storms),
-    /// single consumer (the owner). Each event is detected once, so over
-    /// a run the lane takes at most NumEvents x (1 + CtrlStormRepeat)
-    /// deltas, and it is sized to that bound: a push never fails, and
-    /// shedding never touches the lane (dropping a delta would wedge
-    /// event propagation, not degrade it).
+    /// batch and tests its head (headReady) before every message, so a
+    /// delta waits for at most one hop of work, and an empty lane costs
+    /// two loads. Many producers (whichever worker detected the event,
+    /// including this one for fault-plan storms), single consumer (the
+    /// owner). Each event is detected once, so over a run the lane takes
+    /// at most NumEvents x (1 + CtrlStormRepeat) deltas, and it is sized
+    /// to that bound: a push never fails, and shedding never touches the
+    /// lane (dropping a delta would wedge event propagation, not degrade
+    /// it).
     std::unique_ptr<BoundedMpscQueue<uint32_t>> Ctrl;
     std::thread Thread;
     /// Recycled classifier outputs; the worker sizes their headers
@@ -475,21 +484,31 @@ private:
     /// fan-out cannot clobber the Known/Fresh sets.
     DenseBitSet ScratchFan;
     /// Per-message counters live on the shard that bumps them, so no two
-    /// workers ever write the same counter line. Only the owner bumps
-    /// them, except that a shed (run on the producer's thread) bumps the
-    /// destination shard's Injected/Dropped/Shed; stats() and
-    /// mergeResults() sum them over shards.
-    RelaxedCounter Injected;  ///< injections stamped (or shed) here
-    RelaxedCounter Delivered; ///< packets handed to hosts here
-    RelaxedCounter Forwarded; ///< link traversals sent from here
-    RelaxedCounter Processed;
-    RelaxedCounter Transitions;
+    /// workers ever write the same counter line; stats() and
+    /// mergeResults() sum them over shards. Those only the owner bumps
+    /// are single-writer (a plain increment). A shed runs on the
+    /// producer's thread and bumps the destination shard's Injected,
+    /// Dropped and Shed, and a producer that spills raises
+    /// QueueHighWater, so those four take locked read-modify-writes.
+    RelaxedCounter Injected;       ///< injections stamped (or shed) here
+    SingleWriterCounter Delivered; ///< packets handed to hosts here
+    SingleWriterCounter Forwarded; ///< link traversals sent from here
+    SingleWriterCounter Processed;
+    SingleWriterCounter Transitions; ///< view stores
     RelaxedCounter Dropped;
     RelaxedCounter QueueHighWater;
-    RelaxedCounter IdleSleeps;
-    RelaxedCounter Shed;   ///< messages shed here by the overload policy
-    RelaxedCounter Stalls; ///< fault-plan stalls taken by this worker
-    RelaxedCounter FastLearns; ///< registers advanced by the local fast path
+    SingleWriterCounter IdleSleeps;
+    RelaxedCounter Shed; ///< messages shed here by the overload policy
+    SingleWriterCounter Stalls;     ///< fault-plan stalls taken by this worker
+    SingleWriterCounter FastLearns; ///< registers advanced by the local fast path
+    /// The switches the current merge group moved, each with its tag at
+    /// the group's start (applyRegister appends, publishGroup empties).
+    /// Reserved to the shard's switch count, so a group never allocates.
+    struct Moved {
+      uint32_t Dense;
+      nes::SetId Old;
+    };
+    std::vector<Moved> Group;
 
     /// Fault-injection state; only touched when a plan is active.
     /// Owner-thread unless noted.
@@ -569,13 +588,14 @@ private:
   /// — instead.
   void mergeEventInto(Shard &S, uint32_t Dense, unsigned E,
                       const DenseBitSet &Ctx);
-  /// Drains \p S's priority update lane, merging each delta into the
-  /// shard's subscribed switches; returns how many deltas it processed.
+  /// Drains \p S's priority update lane as one merge group, merging each
+  /// delta into the shard's subscribed switches; returns how many deltas
+  /// it processed. Called ahead of every ring batch, and by processMsg
+  /// before every message whose turn finds the lane's head published.
   size_t drainCtrlLane(Shard &S);
   size_t drainBatch(Shard &S);
   /// Drains OutBufs[S.Index] in place (self-delivered hops never touch
-  /// the ring or Pending) until every chain ends or leaves the shard,
-  /// draining the control lane before each round.
+  /// the ring or Pending) until every chain ends or leaves the shard.
   void drainSelf(Shard &S);
   /// Releases delay-held messages whose poll deadline passed.
   void releaseDelayed(Shard &S);
@@ -587,6 +607,8 @@ private:
   void shedLocked(Shard &Dst, Msg &M);
   void flushOut(Shard &S);
   void prefetchMsg(const Msg &M) const;
+  /// Drains the control lane first if its head is published, so a delta
+  /// merges before the next hop, then runs \p M.
   void processMsg(Shard &S, Msg &M);
   /// IN rule for an Inject message, applied in place: \p M's packet is
   /// stamped and processed from its slot.
@@ -597,10 +619,14 @@ private:
   /// is left holding a recycled one.
   void forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
                   netkat::Packet &Out, nes::SetId OutDigest);
-  /// Moves \p Dense's register to the family member \p NewTag (a
-  /// superset of the current one): stamps the first learns and publishes
-  /// the view word.
+  /// Moves \p Dense's working register to the family member \p NewTag
+  /// (a strict superset of the current one) and enters the switch in the
+  /// shard's merge group; publishGroup stores the view and stamps the
+  /// learns.
   void applyRegister(Shard &S, uint32_t Dense, nes::SetId NewTag);
+  /// Ends \p S's merge group: one view store per switch it moved, then
+  /// one clock read that stamps every first learn of the group.
+  void publishGroup(Shard &S);
   /// Pushes \p N already-Pending-counted messages into \p Target's ring,
   /// packing each BatchSize chunk into the producer's \p Stage records
   /// first. Messages too wide for a record go to the overflow deque.
@@ -711,8 +737,9 @@ private:
   /// First-learn stamp per (dense switch D, event E) at
   /// [D * numEvents + E], raw monotonicNs(), -1 until learned — the same
   /// clock as DetectNs, so the Transition digest is a pure monotonic
-  /// difference. A slot is written only by its switch's owning shard
-  /// and read after the join.
+  /// difference. Every learn of a merge group gets the group's one clock
+  /// read (publishGroup). A slot is written only by its switch's owning
+  /// shard and read after the join.
   std::vector<int64_t> LearnNs;
   double ElapsedSec = 0;
   std::atomic<bool> Ran{false};

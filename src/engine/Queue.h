@@ -14,7 +14,8 @@
 /// injecting thread produces; only the owner consumes — MPSC), which
 /// degenerates to SPSC wait-free hand-off when exactly one producer is
 /// active, and a second one per shard, of event ids, as its priority
-/// update lane.
+/// update lane (the owner tests its head, headReady(), before every
+/// message).
 ///
 /// Elements are trivially copyable: a cell is raw storage that producers
 /// write and the consumer reads with plain byte copies, so a push never
@@ -186,6 +187,17 @@ public:
     get(Pos & Mask, Out);
     Seqs[Pos & Mask].store(Pos + Mask + 1, std::memory_order_release);
     return true;
+  }
+
+  /// Whether the element tryPop would return next is published: one
+  /// relaxed load of Head and one acquire load of the head cell's
+  /// sequence number. Cheap enough to test before every message, so a
+  /// consumer can check an otherwise empty lane at that rate. Single
+  /// consumer.
+  bool headReady() const {
+    size_t Pos = Head.load(std::memory_order_relaxed);
+    size_t Seq = Seqs[Pos & Mask].load(std::memory_order_acquire);
+    return static_cast<intptr_t>(Seq) - static_cast<intptr_t>(Pos + 1) >= 0;
   }
 
   /// Approximate number of queued elements (racy snapshot; for stats).

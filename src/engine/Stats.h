@@ -14,14 +14,23 @@
 /// 16(b) discovery-time measurement), per-hop queue dwell, and hot-loop
 /// batch occupancy, each surfaced as p50/p90/p99/max.
 ///
-/// RelaxedCounter is the live-counter type behind the snapshot: each
-/// counter owns a full cache line and every access is a relaxed atomic —
-/// the counters carry no synchronization, only tallies. Padding only
-/// separates *different* counters; a counter that every worker bumps
-/// still bounces its one line between cores on every bump. So every
-/// counter the hot loop bumps per message is owned by a shard (the
-/// engine's Shard), and the snapshot sums them over shards; the
-/// engine-wide counters left are bumped per event or per fault.
+/// RelaxedCounter and SingleWriterCounter are the live-counter types
+/// behind the snapshot: each counter owns a full cache line and every
+/// access is a relaxed atomic — the counters carry no synchronization,
+/// only tallies. Padding only separates *different* counters; a counter
+/// that every worker bumps still bounces its one line between cores on
+/// every bump. So every counter the hot loop bumps per message is owned
+/// by a shard (the engine's Shard), and the snapshot sums them over
+/// shards; the engine-wide counters left are bumped per event or per
+/// fault.
+///
+/// A shard counter that only its worker bumps (processed, forwarded,
+/// delivered, transitions, fast learns, idle sleeps, stalls) is a
+/// SingleWriterCounter: a bump is a relaxed load plus a store, not a
+/// locked read-modify-write. One that another thread also bumps stays a
+/// RelaxedCounter: injected, dropped and shed (a producer sheds into the
+/// destination shard's counters), the queue high-water mark (raised by
+/// producers that spill), and the engine-wide and server counters.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,7 +38,9 @@
 #define EVENTNET_ENGINE_STATS_H
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 namespace eventnet {
@@ -57,13 +68,37 @@ struct alignas(64) RelaxedCounter {
   }
 };
 
+/// A counter padded to a cache line that exactly one thread bumps: add()
+/// is a relaxed load plus a relaxed store, so a bump costs no locked
+/// instruction, and readers on other threads still get a racy but
+/// individually-consistent tally. A second writer would lose updates
+/// silently, and ThreadSanitizer cannot see that (relaxed atomics never
+/// race), so debug builds assert that every bump comes from the thread
+/// that made the first one.
+struct alignas(64) SingleWriterCounter {
+  std::atomic<uint64_t> V{0};
+#ifndef NDEBUG
+  std::atomic<std::thread::id> Writer{};
+#endif
+
+  void add(uint64_t N = 1) {
+#ifndef NDEBUG
+    std::thread::id Me = std::this_thread::get_id(), Seen{};
+    if (!Writer.compare_exchange_strong(Seen, Me, std::memory_order_relaxed))
+      assert(Seen == Me && "a single-writer counter bumped by two threads");
+#endif
+    V.store(V.load(std::memory_order_relaxed) + N, std::memory_order_relaxed);
+  }
+  uint64_t get() const { return V.load(std::memory_order_relaxed); }
+};
+
 /// Counters of one shard.
 struct ShardStats {
   uint64_t PacketsProcessed = 0; ///< switch-hops executed by this shard
   uint64_t QueueDepth = 0;       ///< approximate pending messages
   uint64_t QueueHighWater = 0;   ///< max observed ring + overflow depth
   uint64_t Dropped = 0;          ///< drops attributed to this shard
-  uint64_t Transitions = 0;      ///< published register/view swaps
+  uint64_t Transitions = 0;      ///< view stores, per switch per merge group
   uint64_t FreelistGrowth = 0;   ///< recycled-buffer pool growth events
   uint32_t Switches = 0;         ///< switches placed on this shard
   uint64_t IdleSleeps = 0;       ///< idle-backoff sleeps taken by the worker

@@ -151,9 +151,15 @@ void Server::sinkPush(const Packet &P) {
 }
 
 void Server::wake() {
-  // One self-pipe byte per sleep/wake cycle: the exchange dedupes the
-  // write() so a flood of deliveries costs one syscall, not millions.
-  if (!WakePending.exchange(true, std::memory_order_acq_rel)) {
+  // Called after a push. The fence pairs with the one the loop issues
+  // between setting Parked and re-checking the ring (serve): either that
+  // re-check sees this push, or this load sees the loop parked. Only a
+  // parked loop gets a self-pipe byte, and the exchange lets one sink
+  // per park through, so a loop that is busy anyway costs its sinks no
+  // syscall.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (Parked.load(std::memory_order_relaxed) &&
+      Parked.exchange(false, std::memory_order_acq_rel)) {
     uint8_t B = 1;
     ssize_t R = ::write(WakeW.get(), &B, 1);
     (void)R; // a full pipe already guarantees a pending wakeup
@@ -161,12 +167,11 @@ void Server::wake() {
 }
 
 void Server::drainWakePipe() {
-  uint8_t Buf[256];
-  while (::read(WakeR.get(), Buf, sizeof(Buf)) > 0) {
-  }
-  // Clear before draining the ring: a push after this store triggers a
-  // fresh wakeup instead of being lost.
-  WakePending.store(false, std::memory_order_release);
+  // One read: each park lets one byte in, so the pipe holds a byte or
+  // two, and any left over only makes the next wait return at once.
+  uint8_t Buf[64];
+  ssize_t R = ::read(WakeR.get(), Buf, sizeof(Buf));
+  (void)R;
 }
 
 size_t Server::drainDeliveries() {
@@ -221,11 +226,14 @@ bool Server::onFrame(Session &S, const WireFrame &F) {
   case WireFrame::Inject: {
     if (!validHost(F.A) || !validHost(F.B))
       return false;
-    engine::Injection In;
+    // The header (sim::frameHeader's, plus the conn tag) is rebuilt in a
+    // recycled slot that keeps its capacity: ingest allocates nothing
+    // per frame.
+    engine::Injection &In = InjBuf.next();
     In.From = static_cast<HostId>(F.A);
-    In.Header = sim::frameHeader(F);
+    sim::fillWireHeader(In.Header, In.From, static_cast<HostId>(F.B),
+                        static_cast<Value>(F.Kind), F.Seq);
     In.Header.set(sim::connField(), static_cast<Value>(S.conn()));
-    InjBuf.push_back(std::move(In));
     if (InjBuf.size() >= C.IngestBatch)
       flushIngest();
     return true;
@@ -242,17 +250,17 @@ bool Server::onFrame(Session &S, const WireFrame &F) {
 }
 
 void Server::flushIngest() {
-  if (InjBuf.empty() || !E)
+  if (InjBuf.size() == 0 || !E)
     return;
   E->injectBatch(InjBuf.data(), InjBuf.size());
   Totals.FramesInjected += InjBuf.size();
-  InjBuf.clear();
+  InjBuf.reset();
 }
 
 void Server::ackBarriers() {
   if (PendingBarriers.empty())
     return;
-  if (!InjBuf.empty() || !E || !E->quiescent())
+  if (InjBuf.size() != 0 || !E || !E->quiescent())
     return;
   // Quiescent + flushed: every delivery the fenced traffic produced has
   // already been pushed into the ring (the sink runs before a message's
@@ -503,10 +511,11 @@ void Server::flushUdp(UdpPeer &P) {
 void Server::flushWrites() {
   if (DirtyConns.empty())
     return;
-  // flushTcp can tear a session down; iterate a swapped-out list.
-  std::vector<uint64_t> Work;
-  Work.swap(DirtyConns);
-  for (uint64_t Conn : Work) {
+  // flushTcp can tear a session down and a UDP retry re-marks its
+  // connection, so iterate a swapped-out list. FlushWork is empty
+  // between passes, and both vectors keep their capacity.
+  FlushWork.swap(DirtyConns);
+  for (uint64_t Conn : FlushWork) {
     auto It = Tcp.find(Conn);
     if (It != Tcp.end()) {
       flushTcp(Conn, It->second);
@@ -525,6 +534,7 @@ void Server::flushWrites() {
       ++Totals.Closed;
     }
   }
+  FlushWork.clear();
 }
 
 bool Server::anyPendingWrites() const {
@@ -558,12 +568,26 @@ void Server::serve(const std::atomic<bool> &Stop) {
         TcpListen.reset();
       }
     }
-    bool Busy = !InjBuf.empty() || !DirtyConns.empty();
+    bool Busy = InjBuf.size() != 0 || !DirtyConns.empty();
     // Barrier waits poll at 1ms so the engine gets the cores; pure idle
-    // sleeps longer (deliveries wake us via the self-pipe).
+    // sleeps longer (deliveries wake us via the self-pipe, the timeout is
+    // only a backstop).
     int TimeoutMs =
         Busy ? 0 : (!PendingBarriers.empty() || Stopping) ? 1 : 20;
+    if (TimeoutMs != 0) {
+      // Park: announce it, fence, and look at the ring once more. With
+      // the sinks' fence (wake), either this check sees a delivery pushed
+      // before it, or that delivery's sink sees Parked and writes the
+      // self-pipe, so no delivery waits out the timeout.
+      Parked.store(true, std::memory_order_relaxed);
+      std::atomic_thread_fence(std::memory_order_seq_cst);
+      if (Ring->headReady()) {
+        Parked.store(false, std::memory_order_relaxed);
+        TimeoutMs = 0;
+      }
+    }
     int N = Poll.wait(Events, TimeoutMs);
+    Parked.store(false, std::memory_order_relaxed);
     for (int I = 0; I < N; ++I) {
       const Ready &Ev = Events[static_cast<size_t>(I)];
       if (Ev.Token == TokTcpListen)
@@ -581,7 +605,7 @@ void Server::serve(const std::atomic<bool> &Stop) {
     flushWrites();
 
     if (Stopping) {
-      bool Quiet = InjBuf.empty() && PendingBarriers.empty() &&
+      bool Quiet = InjBuf.size() == 0 && PendingBarriers.empty() &&
                    (!E || E->quiescent());
       if (Quiet && drainDeliveries() == 0 && !anyPendingWrites())
         break;

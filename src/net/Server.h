@@ -11,16 +11,22 @@
 /// connections and UDP peers that speak the sim/Wire.h length-prefixed
 /// framing, bridged to the sharded engine's streaming surface:
 ///
-///  - Ingest: completed Inject frames become engine::Injections (the
-///    header stamped with the session's conn tag, which rides every hop
-///    untouched), batched and handed to Engine::injectBatch on the loop
-///    thread — the engine's single external injector.
+///  - Ingest: completed Inject frames become engine::Injections, built
+///    in recycled slots (the header stamped with the session's conn tag,
+///    which rides every hop untouched), batched and handed to
+///    Engine::injectBatch on the loop thread — the engine's single
+///    external injector.
 ///  - Delivery: the engine's DeliverySink (shard threads) pushes each
-///    conn-tagged delivery into one bounded MPSC ring and wakes the
-///    loop via a self-pipe (write-deduplicated by an atomic flag); the
-///    loop routes frames to the owning session's bounded egress queue
-///    under the engine's overload-policy semantics, with every shed
-///    counted so conservation is checkable end to end.
+///    conn-tagged delivery into one bounded MPSC ring; the loop routes
+///    frames to the owning session's bounded egress queue under the
+///    engine's overload-policy semantics, with every shed counted so
+///    conservation is checkable end to end.
+///  - Wake: a sink writes the self-pipe only when the loop has parked.
+///    Before each blocking wait the loop sets Parked, fences and
+///    re-checks the ring; a sink fences after its push and takes Parked
+///    with an exchange, so at most one sink per park writes one byte,
+///    and a busy loop costs its sinks no syscall. The wait's timeout
+///    (20 ms idle) is only a backstop.
 ///  - Barriers: a client's Barrier frame is acked only after all
 ///    buffered ingest is flushed, the engine is quiescent, and the
 ///    delivery ring is drained — TCP ordering then guarantees the
@@ -189,13 +195,18 @@ private:
   std::unordered_map<uint64_t, uint64_t> UdpByKey; ///< addr key -> conn
   std::unordered_map<uint64_t, UdpPeer> Udp;       ///< by conn id
 
-  std::vector<engine::Injection> InjBuf;
+  /// Buffered ingest: recycled slots whose headers keep their capacity.
+  engine::RecyclePool<engine::Injection> InjBuf;
   std::vector<std::pair<uint64_t, uint64_t>> PendingBarriers; ///< conn, seq
   std::vector<uint64_t> DirtyConns;
+  std::vector<uint64_t> FlushWork; ///< flushWrites' swap partner (empty)
 
   // Shard-thread -> loop-thread delivery path.
   std::unique_ptr<engine::BoundedMpscQueue<Delivery>> Ring;
-  std::atomic<bool> WakePending{false};
+  /// The loop is (about to be) blocked in Poll.wait: set by the loop
+  /// before it parks, taken by the one sink that writes the self-pipe.
+  /// On its own line: every sink reads it after every push.
+  alignas(64) std::atomic<bool> Parked{false};
   engine::RelaxedCounter RingShed;      ///< sink-side sheds (shed policies)
   engine::RelaxedCounter NonNetSink;    ///< sink calls without a conn tag
 

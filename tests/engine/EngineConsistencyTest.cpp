@@ -567,6 +567,55 @@ Scenario ringProbeScenario(uint64_t Seed) {
 
 } // namespace
 
+/// A merge group stamps all its learns with one clock read taken after
+/// its view stores, and every learn follows its event's detection (a
+/// far shard's lane pop acquires the detector's push, a gossiped digest
+/// left after the detector's merge), so no register_learn instant may
+/// precede its event's event_detect instant, on any shard count. A
+/// stamp cached from before a lane drain, or taken before the group's
+/// merges, would show here as a learn ahead of its detection.
+TEST(EngineConsistency, LearnStampsFollowDetection) {
+  using obs::TraceKind;
+  struct Case {
+    Scenario (*Make)(uint64_t);
+    unsigned Shards;
+  };
+  for (Case K : {Case{bwcapScenario, 2}, Case{bwcapScenario, 3},
+                 Case{ringProbeScenario, 2}, Case{ringProbeScenario, 3}})
+    for (uint64_t Seed : {3u, 17u}) {
+      Scenario S = K.Make(Seed);
+      ASSERT_TRUE(S.C.ok()) << S.A.Name << ": " << S.C.status().str();
+      std::string What = S.A.Name + " shards=" + std::to_string(K.Shards) +
+                         " seed=" + std::to_string(Seed);
+      EngineConfig Cfg;
+      Cfg.NumShards = K.Shards;
+      Engine E(S.C->structure(), S.A.Topo, Cfg);
+      E.run(S.W);
+
+      std::map<uint32_t, int64_t> DetectAt; // event -> detect instant
+      std::vector<obs::TraceEvent> Learns;
+      for (const obs::TraceEvent &Ev : E.timeline()) {
+        if (Ev.Kind == TraceKind::EventDetect)
+          DetectAt[Ev.A] = Ev.TsNs;
+        else if (Ev.Kind == TraceKind::RegisterLearn)
+          Learns.push_back(Ev);
+      }
+      EXPECT_GT(DetectAt.size(), 0u) << What;
+      EXPECT_GT(Learns.size(), DetectAt.size()) << What;
+      for (const obs::TraceEvent &L : Learns) {
+        auto It = DetectAt.find(L.B);
+        ASSERT_NE(It, DetectAt.end())
+            << What << ": switch " << L.A << " learned undetected event "
+            << L.B;
+        EXPECT_GE(L.TsNs, It->second)
+            << What << ": switch " << L.A << " learned event " << L.B
+            << " before its detection";
+      }
+      for (int64_t Lat : E.transitionLatenciesNs())
+        EXPECT_GE(Lat, 0) << What;
+    }
+}
+
 /// The timeline is read from the merged trace log, the fault ledger and
 /// the update stamps, so its instants count exactly what the engine
 /// counts, with and without a drop/dup fault plan.

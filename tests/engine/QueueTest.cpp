@@ -71,6 +71,31 @@ TEST(Queue, MpscStress) {
   EXPECT_FALSE(Q.tryPop(V));
 }
 
+TEST(Queue, HeadReadyTracksThePublishedHead) {
+  // The engine tests its update lane's head before every message, so the
+  // test must read exactly "tryPop would succeed": false on an empty
+  // lane, true once a push publishes the head, false again once the pop
+  // consumes it, on every lap of the ring and for batch operations too.
+  BoundedMpscQueue<uint32_t> Q(4);
+  uint32_t Out = 0, Batch[4] = {};
+  EXPECT_FALSE(Q.headReady());
+  for (uint32_t Lap = 0; Lap != 6; ++Lap) {
+    ASSERT_TRUE(Q.tryPush(Lap));
+    EXPECT_TRUE(Q.headReady()) << "lap " << Lap;
+    ASSERT_TRUE(Q.tryPop(Out));
+    EXPECT_EQ(Out, Lap);
+    EXPECT_FALSE(Q.headReady()) << "lap " << Lap;
+  }
+  uint32_t Vals[3] = {7, 8, 9};
+  ASSERT_EQ(Q.tryPushBatch(Vals, 3), 3u);
+  EXPECT_TRUE(Q.headReady());
+  ASSERT_TRUE(Q.tryPop(Out));
+  EXPECT_TRUE(Q.headReady()); // two left
+  ASSERT_EQ(Q.tryPopBatch(Batch, 4), 2u);
+  EXPECT_FALSE(Q.headReady());
+  EXPECT_FALSE(Q.tryPop(Out));
+}
+
 TEST(Queue, BatchOpsKeepFifoAcrossLaps) {
   // Single and batch operations over several laps of a small ring: a
   // batch push claims only the free prefix, and every lap hands the

@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -339,4 +340,86 @@ TEST(NetLoadgen, StopCountsUnreadClientBytes) {
   EXPECT_EQ(SS.BytesIn + SS.UnreadAtStopBytes, Written)
       << SS.BytesIn << " bytes read, " << SS.UnreadAtStopBytes
       << " discarded unread";
+}
+
+TEST(NetLoadgen, SpacedRequestsWakeTheParkedLoop) {
+  // One request at a time, each sent after the loop has had time to
+  // park in its 20 ms idle wait: the request's delivery and its echo
+  // reply reach the loop only through the delivery ring, so each round
+  // trip needs the sink's self-pipe wake. A wake lost between the loop's
+  // last look at the ring and its wait costs the whole backstop timeout,
+  // about 20 ms, so the median round trip must sit far below it.
+  Loopback L;
+  ASSERT_TRUE(L.C.ok()) << L.C.status().str();
+  ASSERT_TRUE(L.Opened);
+
+  net::Fd Sock(::socket(AF_INET, SOCK_STREAM, 0));
+  ASSERT_TRUE(Sock.valid());
+  net::setNoDelay(Sock.get());
+  sockaddr_in Sa{};
+  Sa.sin_family = AF_INET;
+  Sa.sin_port = htons(L.Srv.port());
+  Sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(Sock.get(), reinterpret_cast<sockaddr *>(&Sa),
+                      sizeof(Sa)),
+            0);
+  timeval Timeout{5, 0};
+  ::setsockopt(Sock.get(), SOL_SOCKET, SO_RCVTIMEO, &Timeout,
+               sizeof(Timeout));
+  auto Send = [&](const sim::WireFrame &F) {
+    uint8_t Buf[sim::WireFrameBytes];
+    size_t Len = sim::encodeFrame(F, Buf);
+    return ::write(Sock.get(), Buf, Len) == static_cast<ssize_t>(Len);
+  };
+  auto Recv = [&](sim::WireFrame &F) {
+    uint8_t Buf[sim::WireFrameBytes];
+    for (size_t Got = 0; Got != sizeof(Buf);) {
+      ssize_t N = ::read(Sock.get(), Buf + Got, sizeof(Buf) - Got);
+      if (N <= 0)
+        return false;
+      Got += static_cast<size_t>(N);
+    }
+    size_t Used = 0;
+    return sim::decodeFrame(Buf, sizeof(Buf), F, Used) ==
+           sim::FrameDecode::Ok;
+  };
+
+  sim::WireFrame Hello;
+  Hello.T = sim::WireFrame::Hello;
+  Hello.A = sim::WireProtoVersion;
+  ASSERT_TRUE(Send(Hello));
+  sim::WireFrame Ack;
+  ASSERT_TRUE(Recv(Ack)) << "no HelloAck";
+  ASSERT_EQ(Ack.T, sim::WireFrame::HelloAck);
+
+  // H1 -> H4 is the firewall's always-allowed direction, and H4 echoes.
+  constexpr unsigned Requests = 20;
+  std::vector<int64_t> RttUs;
+  for (unsigned I = 1; I <= Requests; ++I) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    sim::WireFrame Req;
+    Req.T = sim::WireFrame::Inject;
+    Req.A = topo::HostH1;
+    Req.B = topo::HostH4;
+    Req.Kind = sim::KindRequest;
+    Req.Seq = I;
+    auto T0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(Send(Req));
+    sim::WireFrame F;
+    do {
+      ASSERT_TRUE(Recv(F)) << "request " << I << " got no reply";
+    } while (F.T != sim::WireFrame::Deliver ||
+             F.Kind != static_cast<uint32_t>(sim::KindReply) || F.Seq != I);
+    RttUs.push_back(std::chrono::duration_cast<std::chrono::microseconds>(
+                        std::chrono::steady_clock::now() - T0)
+                        .count());
+  }
+  L.shutdown();
+
+  std::sort(RttUs.begin(), RttUs.end());
+  int64_t MedianUs = RttUs[Requests / 2];
+  EXPECT_LT(MedianUs, 5000) << "median round trip " << MedianUs
+                            << " us: the parked loop slept through wakes";
+  net::ServerStats SS = L.Srv.stats();
+  EXPECT_EQ(SS.RepliesOut, Requests);
 }
