@@ -153,7 +153,10 @@ Classifier::Classifier(const FlatFdd &F) {
   Root = static_cast<uint32_t>(NodeMemo[F.Root]);
 }
 
-void Classifier::apply(const Packet &Pkt, PacketBuf &Out) const {
+// Forced inline into each entry point: the walk is the lookup's whole
+// cost, and a call per hop would add to it.
+[[gnu::always_inline]] inline const uint64_t *
+Classifier::leafFor(const Packet &Pkt) const {
   const uint64_t *Base = Code.data();
   const uint64_t *PC = Base + Root;
   const auto &Fs = Pkt.fields();
@@ -163,25 +166,8 @@ void Classifier::apply(const Packet &Pkt, PacketBuf &Out) const {
   for (;;) {
     uint64_t H = *PC;
     uint64_t Kind = H & 3;
-    if (Kind == KindLeaf) {
-      uint32_t NumActs = static_cast<uint32_t>(H >> 32);
-      const uint64_t *P = PC + 1;
-      for (uint32_t A = 0; A != NumActs; ++A) {
-        uint32_t NumWrites = static_cast<uint32_t>(*P++);
-        // Copy-assign into the recycled slot (one memcpy on a warmed
-        // buffer — measured faster than a field-by-field merge), then
-        // apply the writes in place. An engine packet is located, so its
-        // pt write is one store into Fields[1] (Packet::set), not a
-        // search.
-        Packet &O = Out.next();
-        O = Pkt;
-        for (uint32_t W = 0; W != NumWrites; ++W) {
-          O.set(static_cast<FieldId>(P[0]), static_cast<Value>(P[1]));
-          P += 2;
-        }
-      }
-      return;
-    }
+    if (Kind == KindLeaf)
+      return PC;
 
     FieldId Fld = static_cast<FieldId>((H >> 2) & 0xFFFF);
     uint32_t N = static_cast<uint32_t>(H >> 32);
@@ -212,10 +198,41 @@ void Classifier::apply(const Packet &Pkt, PacketBuf &Out) const {
   }
 }
 
-void Classifier::apply(const Packet &Pkt,
-                       std::vector<Packet> &Out) const {
-  PacketBuf B;
-  apply(Pkt, B);
-  for (size_t I = 0; I != B.size(); ++I)
-    Out.push_back(std::move(B[I]));
+const uint64_t *Classifier::rewrite(const uint64_t *Action, Packet &Pkt) {
+  // An engine packet is located, so its pt write is one store into
+  // Fields[1] (Packet::set), not a search.
+  uint32_t NumWrites = static_cast<uint32_t>(*Action++);
+  for (uint32_t W = 0; W != NumWrites; ++W) {
+    Pkt.set(static_cast<FieldId>(Action[0]), static_cast<Value>(Action[1]));
+    Action += 2;
+  }
+  return Action;
+}
+
+size_t Classifier::applyInPlace(Packet &Pkt, PacketBuf &Out) const {
+  const uint64_t *Leaf = leafFor(Pkt);
+  uint32_t NumActs = static_cast<uint32_t>(*Leaf >> 32);
+  const uint64_t *P = Leaf + 1;
+  if (NumActs == 1) {
+    rewrite(P, Pkt);
+    return 1;
+  }
+  // Copy-assign into each recycled slot (one memcpy on a warmed buffer —
+  // measured faster than a field-by-field merge), then rewrite it there.
+  for (uint32_t A = 0; A != NumActs; ++A) {
+    Packet &O = Out.next();
+    O = Pkt;
+    P = rewrite(P, O);
+  }
+  return NumActs;
+}
+
+void Classifier::apply(const Packet &Pkt, std::vector<Packet> &Out) const {
+  const uint64_t *Leaf = leafFor(Pkt);
+  uint32_t NumActs = static_cast<uint32_t>(*Leaf >> 32);
+  const uint64_t *P = Leaf + 1;
+  for (uint32_t A = 0; A != NumActs; ++A) {
+    Out.push_back(Pkt);
+    P = rewrite(P, Out.back());
+  }
 }

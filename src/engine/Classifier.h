@@ -29,6 +29,12 @@
 /// vector is consumed with a monotone cursor — the whole lookup touches
 /// each packet field at most once.
 ///
+/// Every lookup runs the same walk to its leaf (leafFor); the entry
+/// points differ only in where the leaf's writes land. The engine's
+/// (applyInPlace) rewrites the packet where it sits when the leaf has
+/// exactly one action, so a unicast hop copies no header, and emits a
+/// copy per action into a recycled pool otherwise.
+///
 /// RecyclePool (PacketBuf here, the engine's MsgBuf) is the freelist
 /// side of the zero-allocation hot path: emission writes into recycled
 /// packets whose field vectors retain their capacity, so forwarding
@@ -86,8 +92,8 @@ struct FlatFdd {
 
 /// A bump-pointer pool of recycled slots: elements keep their heap
 /// capacity across reset(), so once warm a pool serves steady-state
-/// traffic without allocation. The engine uses it for classifier output
-/// packets (PacketBuf) and buffered egress messages alike.
+/// traffic without allocation. The engine uses it for multi-action
+/// classifier outputs (PacketBuf) and buffered egress messages alike.
 template <typename T> class RecyclePool {
 public:
   /// The next slot (grows the pool on first use only).
@@ -125,8 +131,8 @@ private:
   uint64_t Grown = 0;
 };
 
-/// Recycled classifier output packets: emission copy-assigns into slots
-/// whose field vectors retain capacity.
+/// Recycled classifier output packets of multi-action leaves: emission
+/// copy-assigns into slots whose field vectors retain capacity.
 using PacketBuf = RecyclePool<netkat::Packet>;
 
 /// One compiled classifier program in a single contiguous arena.
@@ -137,11 +143,16 @@ public:
   /// Lowers a flattened FDD into the arena.
   explicit Classifier(const FlatFdd &F);
 
-  /// Runs the program on \p Pkt, emitting each action's rewritten packet
-  /// into \p Out (nothing on drop). Allocation-free once \p Out is warm.
-  void apply(const netkat::Packet &Pkt, PacketBuf &Out) const;
+  /// The engine's lookup: runs the program on \p Pkt and returns how many
+  /// packets the matched leaf emits. A leaf with exactly one action
+  /// rewrites \p Pkt where it sits, so a unicast hop copies nothing; any
+  /// other leaf leaves \p Pkt as it was and emits a rewritten copy per
+  /// action into \p Out (nothing on drop). Allocation-free once \p Out is
+  /// warm.
+  size_t applyInPlace(netkat::Packet &Pkt, PacketBuf &Out) const;
 
-  /// Convenience overload for tests: appends to a plain vector.
+  /// Appends each action's rewritten copy of \p Pkt to \p Out: the same
+  /// walk in the reference's shape, for the tests.
   void apply(const netkat::Packet &Pkt,
              std::vector<netkat::Packet> &Out) const;
 
@@ -159,6 +170,12 @@ public:
   size_t numDenseOps() const { return DenseOps; }
 
 private:
+  /// The one walk every lookup shares: the leaf op \p Pkt reaches.
+  const uint64_t *leafFor(const netkat::Packet &Pkt) const;
+  /// Applies the writes of the action at \p Action (its write count, then
+  /// its field/value pairs) to \p Pkt; returns the next action.
+  static const uint64_t *rewrite(const uint64_t *Action, netkat::Packet &Pkt);
+
   uint32_t lowerLeaf(const FlatFdd &F, int32_t LeafIdx,
                      std::vector<int64_t> &Memo);
   uint32_t lowerNode(const FlatFdd &F, int32_t NodeIdx,

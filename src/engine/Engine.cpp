@@ -97,13 +97,13 @@ Engine::Engine(const nes::Nes &N, const topo::Topology &Topo,
       (1 + (C.Faults ? C.Faults->plan().CtrlStormRepeat : 0));
 
   // Pre-size the recycled pools to their steady-state working set (a
-  // full dequeue batch can fill any one egress buffer, the classifier
-  // emits at most a batch of outputs per packet chain, and injectBatch
-  // stages at most one chunk per ingress shard), so the hot loop's and
-  // the injector's freelists never grow after construction. Every
-  // message slot also gets room for the widest ring record's header, so
-  // unpacking a record, building a hop (which swaps buffers with a
-  // classifier output slot) or building an echo reply never grows a
+  // full dequeue batch can fill any one egress buffer, a multi-action
+  // leaf emits at most a batch of outputs, and injectBatch stages at most
+  // one chunk per ingress shard), so the hot loop's and the injector's
+  // freelists never grow after construction. Every message slot also
+  // gets room for the widest ring record's header, so unpacking a record,
+  // building a hop (which swaps buffers with the message's own packet or
+  // a classifier output slot) or building an echo reply never grows a
   // packet, not even on a fresh engine's first batch (each worker sizes
   // its classifier output slots itself; see workerLoop).
   auto PresizePool = [&](MsgBuf &B) {
@@ -393,8 +393,8 @@ void Engine::overflowMsg(Shard &Dst, Msg &&M) {
   Dst.QueueHighWater.raiseTo(Dst.Q->sizeApprox() + Dst.Overflow.size());
 }
 
-void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
-                        Packet &Out, nes::SetId OutDigest) {
+bool Engine::forwardOut(Shard &S, EnginePacket &P, uint32_t AtDense,
+                        Packet &Out, nes::SetId OutDigest, bool Chain) {
   // A table's actions rewrite pt (and header fields), never sw, so the
   // output sits at the switch we just processed — whose dense index the
   // caller already knows. Fall back to the hash only if a table ever
@@ -408,7 +408,7 @@ void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
     S.Dropped.add();
     if (P.FromDup)
       DupDropped.add();
-    return;
+    return false;
   }
 
   if (Eg->IsHost) {
@@ -447,7 +447,7 @@ void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
         R.P.Dense = D;
       }
     }
-    return;
+    return false;
   }
 
   // Fault hook: switch-to-switch links are the lossy medium. The
@@ -469,11 +469,24 @@ void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
     FaultDrops.add();
     if (P.FromDup)
       DupDropped.add();
-    return;
+    return false;
   }
 
   int64_t EgressTicket = logEntry(S, Out, P.Parent, false, P.Tag);
   uint32_t DstShard = Slots[Eg->DstDense].Shard;
+  if (Chain && FA == faults::Action::None && DstShard == S.Index) {
+    // The hop stays on this worker: P becomes it where it sits (Out is
+    // P.Pkt), with its tag and duplicate mark unchanged, and the caller
+    // runs the next switch's SWITCH rule on it at once. Nothing is
+    // buffered or copied.
+    P.Pkt.setLoc(Eg->Dst);
+    P.Digest = OutDigest;
+    P.Parent = EgressTicket;
+    P.Dense = Eg->DstDense;
+    P.IngressLogged = false;
+    S.Forwarded.add();
+    return true;
+  }
   // Every field of a hop but its header; the caller has put the header
   // in M.P.Pkt, still at the egress location.
   auto FillHop = [&](Msg &M, int64_t ParentTicket, bool FromDup) {
@@ -503,7 +516,7 @@ void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
     S.Delayed.push_back(std::move(DM));
     FaultDelays.add();
     S.Forwarded.add();
-    return;
+    return false;
   }
 
   int64_t DupTicket = -1;
@@ -520,7 +533,8 @@ void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
   }
 
   // Build the hop into a recycled egress slot. The last hop built takes
-  // the classifier output's header by swap, and the output slot keeps the
+  // the output's header by swap (the message's own packet for a unicast
+  // hop, a classifier output slot's for a multicast one), which keeps the
   // egress slot's buffer in return, so only a duplicated hop copies its
   // header, into the first of its two slots; nothing here allocates.
   MsgBuf &Buf = S.OutBufs[DstShard];
@@ -537,130 +551,146 @@ void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
     FillHop(Twin, DupTicket, /*FromDup=*/true);
     S.Forwarded.add();
   }
+  return false;
 }
 
-void Engine::processPacket(Shard &S, EnginePacket &P) {
-  uint32_t D = P.Dense;
-  SwitchSlot &Sl = Slots[D];
-  assert(Sl.Id == P.Pkt.sw() && "stale dense index on an in-flight packet");
-
-  if (!P.IngressLogged) {
-    P.Parent = logEntry(S, P.Pkt, P.Parent, false, P.Tag);
-    P.IngressLogged = true;
-  }
-
-  // SWITCH rule: learn the digest, then greedily-consistent fresh events
-  // (the same sharpening as runtime::Machine and sim::Simulation). The
-  // working sets live in shard-owned scratch bitsets whose capacity
-  // survives across packets — the hot loop builds no fresh DenseBitSets.
-  //
-  // Steady state (the throughput regime): the digest carries nothing the
-  // register lacks, so Known is the register itself. The digest is a
-  // family index, usually the register's own (the sender had learned what
-  // this switch has), so an index compare settles it before any bitset
-  // is read, and a subset test the rest.
-  const DenseBitSet &Reg = N.setBits(Sl.Tag);
-  bool DigestKnown =
-      P.Digest == Sl.Tag || N.setBits(P.Digest).isSubsetOf(Reg);
-  const DenseBitSet *KnownP = &Reg;
-  if (!DigestKnown) {
-    S.ScratchKnown = Reg;
-    S.ScratchKnown |= N.setBits(P.Digest);
-    KnownP = &S.ScratchKnown;
-  }
-  const DenseBitSet &Known = *KnownP;
+void Engine::detect(Shard &S, nes::EventId E, uint32_t D,
+                    const DenseBitSet &Known) {
   DenseBitSet &Fresh = S.ScratchFresh;
-  Fresh.clear();
-  for (nes::EventId E : Compiled.eventsAt(D)) {
-    if (Known.test(E) || Fresh.test(E))
-      continue;
-    if (!N.event(E).matches(P.Pkt))
-      continue;
-    DenseBitSet &Ext = S.ScratchExt;
-    Ext = Known;
-    Ext |= Fresh;
-    Ext.set(E);
-    if (N.enables(Known, E) && N.con(Ext)) {
-      Fresh.set(E);
-      // CTRLRECV: the first detection of E (the only one, as the event's
-      // location is this switch) counts it.
-      int64_t Expected = -1;
-      bool First =
-          DetectNs[E]->compare_exchange_strong(Expected, monotonicNs());
-      // CTRLSEND without a controller. Ext (this detection's consistent
-      // extension: register + digest + fresh events + E, all occurred) is
-      // the causal context for switches whose registers lack E's causes;
-      // the lanes' consumers read it from E's slot, which the push
-      // publishes. Deltas go out first, so the other shards' workers
-      // merge in parallel with the local fan-out; then every subscribed
-      // switch this shard owns transitions, one function call after
-      // detection (its view is stored with the SWITCH rule's, below).
-      if (First) {
-        EventCtx[E] = Ext;
-        sendDeltas(S, E);
-      }
-      fanOutLocal(S, E, D, Ext);
-      if (First) {
-        Events.add();
-        if (C.Faults && C.Faults->plan().CtrlStormRepeat)
-          sendStorm(S, E);
-      }
-    }
-  }
-
-  // Forward with the *stamped* configuration (per-packet consistency).
-  const MatchPipeline &Pipe = Compiled.pipe(P.Tag, D);
-
-  // Merge from the *current* register, not the Known snapshot:
-  // registers must only grow, whatever happened in between. In steady
-  // state nothing was learned: the register stands — no unions, no
-  // transition check.
-  if (!DigestKnown || !Fresh.empty()) {
-    // The common case, one fresh event on a known digest, is one read of
-    // the single-event transition table: the register is still Reg (a
-    // local fan-out skips the detecting switch), so the merge is
-    // Reg ∪ {E}. Anything else, or a union that table lacks, builds the
-    // union and looks it up in the family.
-    std::optional<nes::SetId> Tag;
-    if (DigestKnown && Fresh.count() == 1) {
-      assert(&N.setBits(Sl.Tag) == &Reg && "register moved mid-rule");
-      Fresh.forEach([&](unsigned E) { Tag = Compiled.next(Sl.Tag, E); });
-    }
-    if (!Tag) {
-      const DenseBitSet &Cur = N.setBits(Sl.Tag);
-      DenseBitSet &NewE = S.ScratchNew;
-      NewE = Cur;
-      NewE |= Known;
-      NewE |= Fresh;
-      if (NewE != Cur) {
-        Tag = N.setIndex(NewE);
-        assert(Tag && "switch register left the NES family (Lemma 3)");
-      }
-    }
-    if (Tag)
-      applyRegister(S, D, *Tag);
-    // The merge group ends here: a detection's local fan-out and this
-    // switch's learns publish together.
-    publishGroup(S);
-  }
-  // The outgoing digest, P.Digest ∪ NewE, is NewE (P.Digest ⊆ Known ⊆
-  // NewE): the register after the rule, sent on as its family index.
-  nes::SetId OutDigest = Sl.Tag;
-
-  S.Processed.add();
-  // One contiguous classifier program, outputs emitted into the shard's
-  // recycled packet buffer — allocation-free once warm. (The flattened-FDD
-  // walk, MatchPipeline::apply, is the oracle the tests check it against.)
-  S.ClsOut.reset();
-  Pipe.applyClassifier(P.Pkt, S.ClsOut);
-  if (S.ClsOut.size() == 0) {
-    S.Dropped.add();
-    if (P.FromDup)
-      DupDropped.add();
+  DenseBitSet &Ext = S.ScratchExt;
+  Ext = Known;
+  Ext |= Fresh;
+  Ext.set(E);
+  if (!N.enables(Known, E) || !N.con(Ext))
     return;
+  Fresh.set(E);
+  // CTRLRECV: the first detection of E (the only one, as the event's
+  // location is this switch) counts it.
+  int64_t Expected = -1;
+  bool First = DetectNs[E]->compare_exchange_strong(Expected, monotonicNs());
+  // CTRLSEND without a controller. Ext (this detection's consistent
+  // extension: register + digest + fresh events + E, all occurred) is the
+  // causal context for switches whose registers lack E's causes; the
+  // lanes' consumers read it from E's slot, which the push publishes.
+  // Deltas go out first, so the other shards' workers merge in parallel
+  // with the local fan-out; then every subscribed switch this shard owns
+  // transitions, one function call after detection (its view is stored
+  // with the SWITCH rule's, in processPacket).
+  if (First) {
+    EventCtx[E] = Ext;
+    sendDeltas(S, E);
   }
-  for (size_t I = 0; I != S.ClsOut.size(); ++I)
-    forwardOut(S, P, D, S.ClsOut[I], OutDigest);
+  fanOutLocal(S, E, D, Ext);
+  if (First) {
+    Events.add();
+    if (C.Faults && C.Faults->plan().CtrlStormRepeat)
+      sendStorm(S, E);
+  }
+}
+
+void Engine::processPacket(Shard &S, EnginePacket &P, bool Chain) {
+  // One iteration per hop: a chained hop that stays on this worker comes
+  // back here in P itself (forwardOut), so it is logged, learned and
+  // classified exactly like a hop that rode a buffer.
+  for (;;) {
+    uint32_t D = P.Dense;
+    SwitchSlot &Sl = Slots[D];
+    assert(Sl.Id == P.Pkt.sw() && "stale dense index on an in-flight packet");
+
+    if (!P.IngressLogged) {
+      P.Parent = logEntry(S, P.Pkt, P.Parent, false, P.Tag);
+      P.IngressLogged = true;
+    }
+
+    // SWITCH rule: learn the digest, then greedily-consistent fresh events
+    // (the same sharpening as runtime::Machine and sim::Simulation). The
+    // working sets live in shard-owned scratch bitsets whose capacity
+    // survives across packets — the hot loop builds no fresh DenseBitSets.
+    //
+    // Steady state (the throughput regime): the digest carries nothing the
+    // register lacks, so Known is the register itself. The digest is a
+    // family index, usually the register's own (the sender had learned
+    // what this switch has), so an index compare settles it before any
+    // bitset is read, and a subset test the rest.
+    const DenseBitSet &Reg = N.setBits(Sl.Tag);
+    bool DigestKnown =
+        P.Digest == Sl.Tag || N.setBits(P.Digest).isSubsetOf(Reg);
+    const DenseBitSet *KnownP = &Reg;
+    if (!DigestKnown) {
+      S.ScratchKnown = Reg;
+      S.ScratchKnown |= N.setBits(P.Digest);
+      KnownP = &S.ScratchKnown;
+    }
+    const DenseBitSet &Known = *KnownP;
+    DenseBitSet &Fresh = S.ScratchFresh;
+    Fresh.clear();
+    for (nes::EventId E : Compiled.eventsAt(D))
+      if (!Known.test(E) && !Fresh.test(E) && N.event(E).matches(P.Pkt))
+        detect(S, E, D, Known);
+
+    // Merge from the *current* register, not the Known snapshot:
+    // registers must only grow, whatever happened in between. In steady
+    // state nothing was learned: the register stands — no unions, no
+    // transition check.
+    if (!DigestKnown || !Fresh.empty()) {
+      // The common case, one fresh event on a known digest, is one read of
+      // the single-event transition table: the register is still Reg (a
+      // local fan-out skips the detecting switch), so the merge is
+      // Reg ∪ {E}. Anything else, or a union that table lacks, builds the
+      // union and looks it up in the family.
+      std::optional<nes::SetId> Tag;
+      if (DigestKnown && Fresh.count() == 1) {
+        assert(&N.setBits(Sl.Tag) == &Reg && "register moved mid-rule");
+        Fresh.forEach([&](unsigned E) { Tag = Compiled.next(Sl.Tag, E); });
+      }
+      if (!Tag) {
+        const DenseBitSet &Cur = N.setBits(Sl.Tag);
+        DenseBitSet &NewE = S.ScratchNew;
+        NewE = Cur;
+        NewE |= Known;
+        NewE |= Fresh;
+        if (NewE != Cur) {
+          Tag = N.setIndex(NewE);
+          assert(Tag && "switch register left the NES family (Lemma 3)");
+        }
+      }
+      if (Tag)
+        applyRegister(S, D, *Tag);
+      // The merge group ends here: a detection's local fan-out and this
+      // switch's learns publish together.
+      publishGroup(S);
+    }
+    // The outgoing digest, P.Digest ∪ NewE, is NewE (P.Digest ⊆ Known ⊆
+    // NewE): the register after the rule, sent on as its family index.
+    nes::SetId OutDigest = Sl.Tag;
+
+    S.Processed.add();
+    // Forward with the *stamped* configuration (per-packet consistency),
+    // through one contiguous classifier program. A unicast leaf rewrites
+    // P.Pkt where it sits; a multicast one emits its copies into the
+    // shard's recycled output slots, allocation-free once warm. (The
+    // flattened-FDD walk, MatchPipeline::apply, is the oracle the tests
+    // check it against.)
+    S.ClsOut.reset();
+    size_t NumOut = Compiled.pipe(P.Tag, D).applyInPlace(P.Pkt, S.ClsOut);
+    if (NumOut == 0) {
+      S.Dropped.add();
+      if (P.FromDup)
+        DupDropped.add();
+      return;
+    }
+    if (NumOut != 1) {
+      for (size_t I = 0; I != NumOut; ++I)
+        forwardOut(S, P, D, S.ClsOut[I], OutDigest, /*Chain=*/false);
+      return;
+    }
+    if (!forwardOut(S, P, D, P.Pkt, OutDigest, Chain))
+      return;
+    // The hop continues on this worker: a published delta still merges
+    // before it, as before every message.
+    if (S.Ctrl->headReady())
+      drainCtrlLane(S);
+  }
 }
 
 void Engine::mergeEventInto(Shard &S, uint32_t Dense, unsigned E,
@@ -728,7 +758,7 @@ void Engine::fanOutLocal(Shard &S, unsigned E, uint32_t DetectDense,
   }
 }
 
-void Engine::handleInject(Shard &S, Msg &M) {
+void Engine::handleInject(Shard &S, Msg &M, bool Chain) {
   // The sender placed the header at the host's ingress location and
   // resolved its dense index; the slot is recycled, so every other
   // Section 4 field is set afresh here.
@@ -743,24 +773,25 @@ void Engine::handleInject(Shard &S, Msg &M) {
   P.Parent = logEntry(S, P.Pkt, -1, false, P.Tag);
   P.IngressLogged = true;
   S.Injected.add();
-  processPacket(S, P);
+  processPacket(S, P, Chain);
 }
 
 //===----------------------------------------------------------------------===//
 // Threads
 //===----------------------------------------------------------------------===//
 
-void Engine::processMsg(Shard &S, Msg &M) {
+void Engine::processMsg(Shard &S, Msg &M, bool Chain) {
   // Every drain loop (ring batch, self-delivery, delayed release) runs
-  // its messages through here, so a published delta merges before the
-  // next hop instead of waiting out a batch or a self-delivery round;
-  // an empty lane costs two loads.
+  // its messages through here, and a chain checks again before each hop
+  // it continues (processPacket), so a published delta merges before the
+  // next hop instead of waiting out a batch or a chain; an empty lane
+  // costs two loads.
   if (S.Ctrl->headReady())
     drainCtrlLane(S);
   if (M.K == Msg::PacketIn)
-    processPacket(S, M.P);
+    processPacket(S, M.P, Chain);
   else
-    handleInject(S, M);
+    handleInject(S, M, Chain);
   // Pending accounting happens per batch (drainBatch), not per message.
 }
 
@@ -891,17 +922,20 @@ void Engine::flushOut(Shard &S) {
 
 void Engine::drainSelf(Shard &S) {
   // Self-delivery: hops that stay on this shard never touch the MPSC
-  // ring (no cell copies, no queue atomics, no Pending churn) — they
-  // are drained in place until every chain ends or leaves the shard.
-  // A chain can stay on the shard for many rounds; processMsg checks the
-  // control lane before each hop, so a delta waits for one hop at most.
+  // ring (no cell copies, no queue atomics, no Pending churn). Each
+  // buffered message runs its chain to completion in its own slot
+  // (processPacket): its unicast hops follow one another until the chain
+  // ends or leaves the shard. What a chain buffers here instead (a
+  // multicast's copies, an echo reply) runs in the next round. The
+  // control lane is checked before each hop, so a delta waits for one hop
+  // at most.
   MsgBuf &Self = S.OutBufs[S.Index];
   while (Self.size() != 0) {
     std::swap(S.SelfProc, Self);
     for (size_t I = 0; I != S.SelfProc.size(); ++I) {
       if (I + 1 != S.SelfProc.size())
         prefetchMsg(S.SelfProc[I + 1]);
-      processMsg(S, S.SelfProc[I]);
+      processMsg(S, S.SelfProc[I], /*Chain=*/true);
     }
     S.SelfProc.reset();
   }
@@ -920,10 +954,11 @@ void Engine::releaseDelayed(Shard &S) {
       pushBatchToShard(DM.Target, &DM.M, 1, S.Stage.data());
       continue;
     }
-    // A held intra-shard hop: process in place. Outputs are counted
-    // into Pending (flushOut) before this message's own share retires,
-    // preserving the quiescence invariant.
-    processMsg(S, DM.M);
+    // A held intra-shard hop: process in place, its first hop alone like
+    // a popped message's. Outputs are counted into Pending (flushOut)
+    // before this message's own share retires, preserving the
+    // quiescence invariant.
+    processMsg(S, DM.M, /*Chain=*/false);
     drainSelf(S);
     flushOut(S);
     Pending.fetch_sub(1);
@@ -1003,10 +1038,16 @@ size_t Engine::drainBatch(Shard &S) {
     L->Occupancy.record(N);
   }
 
+  // Every popped message takes its first hop in pop order before any
+  // chain runs on: an injection is stamped (the IN rule) against the
+  // registers as the batch found them, as the simulator stamps a phase's
+  // injections before any of them is forwarded. A chain that ran first
+  // could fire an event and move a later injection's ingress register
+  // (EngineConsistency.BatchStampsEveryInjectionBeforeAnyChainRuns).
   for (size_t I = 0; I != N; ++I) {
     if (I + 1 != N)
       prefetchMsg(S.Batch[I + 1]);
-    processMsg(S, S.Batch[I]);
+    processMsg(S, S.Batch[I], /*Chain=*/false);
   }
 
   // The inputs' Pending share (subtracted below) keeps the quiescence
@@ -1030,15 +1071,16 @@ size_t Engine::drainBatch(Shard &S) {
 
 void Engine::workerLoop(unsigned ShardIdx) {
   Shard &S = *Shards[ShardIdx];
-  // The classifier output slots take this worker's hottest writes (every
-  // hop's header is copied into one, then swapped into its egress slot),
-  // so the worker gives them their room for a header itself, from memory
-  // its own thread allocates. Sized on the constructing thread instead,
-  // update_storm read 1-3% lower throughput and 7% higher p50 latency
-  // (10 alternating 20 s pairs on a 4-vCPU Xeon); the cause is not
-  // located. start() counted this set-up into Pending, so it is done
-  // before any awaitQuiescence() returns, and it precedes every packet
-  // this worker classifies.
+  // The worker gives its classifier output slots their room for a header
+  // itself, from memory its own thread allocates. Only a multi-action
+  // leaf writes these slots (a unicast hop is rewritten where it sits),
+  // so no hop of update_storm touches them; yet sized on the constructing
+  // thread instead, with start()'s set-up share gone, update_storm read
+  // p50 latency 2.87 -> 3.54 us and throughput 2.68 -> 2.59 M/s (4
+  // alternating 10 s pairs on a 4-vCPU Xeon; the worker-side sizing won
+  // all 4 on p50). The cause is not located. start() counted this set-up
+  // into Pending, so it is done before any awaitQuiescence() returns, and
+  // it precedes every packet this worker classifies.
   for (size_t I = 0; I != C.BatchSize; ++I)
     S.ClsOut[I].reserve(MsgRecord::MaxFields);
   Pending.fetch_sub(1);

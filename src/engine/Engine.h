@@ -41,6 +41,18 @@
 ///    register as the tag's family member, which lives as long as the
 ///    NES: a torn view cannot be formed, and nothing is retired.
 ///
+/// A packet keeps the tag it was stamped with at the IN rule for its whole
+/// path, so the order in which a worker runs its pending hops is the
+/// engine's own choice, and every order meets Definition 6. The workers
+/// run hops to completion: a unicast hop rewrites its header where it sits
+/// (Classifier::applyInPlace), and while its next switch is on the same
+/// shard and no fault action applies, the same slot re-enters that
+/// switch's SWITCH rule (processPacket), so such a hop copies no header
+/// and waits in no buffer. The one order kept is that every message
+/// popped in a batch takes its first hop, in pop order, before any chain
+/// runs on: a batch's injections are all stamped against the registers
+/// the batch found, as the simulator stamps packets emitted together.
+///
 /// Each shard records every occurrence once, in one trace log of entries
 /// (ticketed from a global atomic counter and stamped with their time)
 /// and excusals of ledgered drops. The live stream hand-off and the merge
@@ -459,10 +471,11 @@ private:
     /// it).
     std::unique_ptr<BoundedMpscQueue<uint32_t>> Ctrl;
     std::thread Thread;
-    /// Recycled classifier outputs; the worker sizes their headers
-    /// itself before it takes work (workerLoop). A hop swaps its output
-    /// into its egress slot (forwardOut), so these slots trade buffers
-    /// with the message slots as the run goes.
+    /// Recycled classifier outputs of multi-action leaves (a unicast hop
+    /// is rewritten in its own slot and never lands here); the worker
+    /// sizes their headers itself before it takes work (workerLoop). A
+    /// hop swaps its output into its egress slot (forwardOut), so these
+    /// slots trade buffers with the message slots as the run goes.
     PacketBuf ClsOut;
     /// Recycled dequeue batch slots: drainBatch unpacks each popped
     /// record into one, and the slot's vectors keep their capacity.
@@ -473,7 +486,11 @@ private:
     /// two never overlap: a popped batch is unpacked before any push.
     std::vector<MsgRecord> Stage;
     std::vector<MsgBuf> OutBufs; ///< recycled egress, per target
-    MsgBuf SelfProc; ///< swap space for draining OutBufs[Index] in place
+    /// Swap space for draining OutBufs[Index] in place (drainSelf): it
+    /// holds one round of self-delivered messages (a popped message's
+    /// first same-shard hop, a multicast copy or an echo reply), and
+    /// each runs its chain to completion from its slot here.
+    MsgBuf SelfProc;
     /// Scratch bitsets for the SWITCH rule, reserved to the NES's word
     /// count at construction: neither the hot loop nor a detection
     /// allocates for them.
@@ -595,7 +612,9 @@ private:
   size_t drainCtrlLane(Shard &S);
   size_t drainBatch(Shard &S);
   /// Drains OutBufs[S.Index] in place (self-delivered hops never touch
-  /// the ring or Pending) until every chain ends or leaves the shard.
+  /// the ring or Pending): each message drained runs its chain to
+  /// completion (processPacket with Chain), and rounds repeat until
+  /// nothing is left buffered for this shard.
   void drainSelf(Shard &S);
   /// Releases delay-held messages whose poll deadline passed.
   void releaseDelayed(Shard &S);
@@ -608,17 +627,38 @@ private:
   void flushOut(Shard &S);
   void prefetchMsg(const Msg &M) const;
   /// Drains the control lane first if its head is published, so a delta
-  /// merges before the next hop, then runs \p M.
-  void processMsg(Shard &S, Msg &M);
+  /// merges before the next hop, then runs \p M (see processPacket for
+  /// \p Chain).
+  void processMsg(Shard &S, Msg &M, bool Chain);
   /// IN rule for an Inject message, applied in place: \p M's packet is
   /// stamped and processed from its slot.
-  void handleInject(Shard &S, Msg &M);
-  void processPacket(Shard &S, EnginePacket &P);
-  /// Delivers, drops or forwards the classifier output \p Out of \p P at
-  /// \p AtDense. A forwarded hop takes \p Out's buffer by swap, so \p Out
-  /// is left holding a recycled one.
-  void forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
-                  netkat::Packet &Out, nes::SetId OutDigest);
+  void handleInject(Shard &S, Msg &M, bool Chain);
+  /// Runs \p P's hop: ingress entry, SWITCH rule, classification, and
+  /// forwardOut for each output. With \p Chain set, a unicast hop that
+  /// stays on this shard with no fault action continues in \p P itself:
+  /// the loop logs its ingress entry at the next switch, takes the
+  /// register just published as its digest and runs that switch's rule,
+  /// after a check of the control lane's head, until the chain ends or
+  /// leaves the shard. Without it (a message popped from the ring, or a
+  /// delayed release) such a hop is buffered for drainSelf, so a batch's
+  /// messages all take their first hop before any chain runs on.
+  void processPacket(Shard &S, EnginePacket &P, bool Chain);
+  /// The SWITCH rule's detection of \p E at dense switch \p D on a packet
+  /// it matches, out of line because it runs about once per event: the
+  /// enables/con test against \p Known and the fresh events so far, then,
+  /// on success, the Fresh bit, the CTRLRECV count, the deltas, the local
+  /// fan-out and a fault plan's storm.
+  void detect(Shard &S, nes::EventId E, uint32_t D, const DenseBitSet &Known);
+  /// Delivers, drops or forwards the output \p Out of \p P at \p AtDense.
+  /// A buffered hop takes \p Out's buffer by swap, so \p Out is left
+  /// holding a recycled one. \p Out is P.Pkt for a unicast hop, which
+  /// then keeps its slot when \p Chain is set and the hop stays on this
+  /// shard with no fault action: P becomes the hop at its next switch and
+  /// forwardOut returns true. Deliveries, cross-shard hops, echo replies,
+  /// multicast copies and fault-plan drops, duplicates and delays take
+  /// their usual paths and return false.
+  bool forwardOut(Shard &S, EnginePacket &P, uint32_t AtDense,
+                  netkat::Packet &Out, nes::SetId OutDigest, bool Chain);
   /// Moves \p Dense's working register to the family member \p NewTag
   /// (a strict superset of the current one) and enters the switch in the
   /// shard's merge group; publishGroup stores the view and stamps the

@@ -63,11 +63,14 @@ public:
   void apply(const netkat::Packet &Pkt,
              std::vector<netkat::Packet> &Out) const;
 
-  /// Classifier-program lookup; same semantics as apply(), emitting into
-  /// the recycled buffer (allocation-free once \p Out is warm).
-  void applyClassifier(const netkat::Packet &Pkt, PacketBuf &Out) const {
-    Cls.apply(Pkt, Out);
+  /// Classifier-program lookup, the engine's: same semantics as apply(),
+  /// but a single-action leaf rewrites \p Pkt in place and any other leaf
+  /// emits into the recycled buffer (Classifier::applyInPlace). Returns
+  /// the number of outputs.
+  size_t applyInPlace(netkat::Packet &Pkt, PacketBuf &Out) const {
+    return Cls.applyInPlace(Pkt, Out);
   }
+  /// Classifier-program lookup with apply()'s shape (tests).
   void applyClassifier(const netkat::Packet &Pkt,
                        std::vector<netkat::Packet> &Out) const {
     Cls.apply(Pkt, Out);

@@ -5,14 +5,16 @@
 //
 //  - agreement: on random tables x random packets (and on every table
 //    the compiler produces for the case-study apps), the classifier
-//    program, the flattened-FDD walk, the bucket scan, and the reference
+//    program (copying each output, and in place as the engine runs it),
+//    the flattened-FDD walk, the bucket scan, and the reference
 //    Table::apply all yield the same action set;
 //  - op coverage: contiguous value ranges lower to dense jump tables,
 //    scattered ones to sorted-value binary search, and both execute
 //    correctly;
-//  - zero allocation: once the recycled PacketBuf is warm, steady-state
-//    classifier lookups perform no heap allocations (counted by a
-//    replacement global operator new);
+//  - zero allocation: once the recycled PacketBuf and the packet being
+//    rewritten are warm, steady-state in-place lookups (the engine's
+//    entry point) perform no heap allocations (counted by a replacement
+//    global operator new);
 //  - zero freelist growth: a full engine run on the classifier path
 //    never grows its recycled egress/output pools — they are pre-sized
 //    from EngineConfig::BatchSize at construction;
@@ -139,12 +141,43 @@ Table randomTable(Rng &R, const std::vector<FieldId> &Fields,
   return T;
 }
 
+/// The engine's lookup (MatchPipeline::applyInPlace) on a copy of \p P:
+/// a single-action leaf must rewrite the copy into the one reference
+/// output and emit nothing; any other leaf must leave it untouched and
+/// emit the reference outputs.
+void expectInPlaceAgrees(const Table &T, const MatchPipeline &M,
+                         const Packet &P, const std::vector<Packet> &Ref,
+                         const char *What) {
+  Packet Work = P;
+  PacketBuf Buf;
+  size_t NumOut = M.applyInPlace(Work, Buf);
+  if (NumOut == 1) {
+    ASSERT_EQ(Buf.size(), 0u) << What << ": a unicast leaf emitted copies";
+    ASSERT_EQ(Ref.size(), 1u) << What << ": in-place lookup made one output on "
+                              << P.str() << "\ntable:\n" << T.str();
+    ASSERT_EQ(Work, Ref[0]) << What << ": in-place rewrite diverged on "
+                            << P.str() << "\ntable:\n" << T.str();
+    return;
+  }
+  ASSERT_EQ(Work, P) << What << ": a multi-action or drop leaf rewrote "
+                     << P.str() << "\ntable:\n" << T.str();
+  ASSERT_EQ(Buf.size(), NumOut) << What;
+  std::vector<Packet> Out;
+  for (size_t I = 0; I != Buf.size(); ++I)
+    Out.push_back(Buf[I]);
+  ASSERT_EQ(canon(Out), Ref) << What << ": in-place emission diverged on "
+                             << P.str() << "\ntable:\n" << T.str();
+}
+
 void expectAllPathsAgree(const Table &T, const MatchPipeline &M,
                          const Packet &P, const char *What) {
   auto Ref = canon(T.apply(P));
   ASSERT_EQ(classifierOut(M, P), Ref)
       << What << ": classifier diverged on " << P.str() << "\ntable:\n"
       << T.str();
+  expectInPlaceAgrees(T, M, P, Ref, What);
+  if (::testing::Test::HasFatalFailure())
+    return;
   ASSERT_EQ(fddOut(M, P), Ref) << What << ": FDD walk diverged on "
                                << P.str() << "\ntable:\n" << T.str();
   ASSERT_EQ(scanOut(M, P), Ref) << What << ": bucket scan diverged on "
@@ -269,34 +302,56 @@ TEST(ClassifierProperty, WarmLookupsAllocateNothing) {
   Rng R(123);
   std::vector<FieldId> Fields = {fieldOf("ip_dst"), fieldOf("kind")};
   Table T = randomTable(R, Fields, 3, 12);
-  while (T.size() == 0) // ensure some outputs exist
-    T = randomTable(R, Fields, 3, 12);
+  // Two top-priority rules make sure the lookups reach both kinds of
+  // leaf: ip_dst=0 a unicast one (rewritten in place) and ip_dst=1 a
+  // two-action one (copies emitted).
+  for (int64_t Dst : {0, 1}) {
+    Rule Ru;
+    Ru.Priority = 10;
+    Ru.Pattern.require(Fields[0], Dst);
+    for (int64_t Pt = 1; Pt <= Dst + 1; ++Pt)
+      Ru.Actions.push_back(flowtable::normalizeActionSeq({{FieldPt, Pt}}));
+    T.add(std::move(Ru));
+  }
   MatchPipeline M(T);
 
   std::vector<Packet> Pkts;
   for (int I = 0; I != 64; ++I)
     Pkts.push_back(randomPacket(R, Fields, 3));
 
+  // The engine's entry point rewrites a unicast packet where it sits, so
+  // each lookup runs on a working copy (copy-assigned into one packet,
+  // which keeps its capacity) and the rewrites and multicast copies both
+  // count.
   PacketBuf Buf;
+  Packet Work;
+  size_t InPlace = 0, Copied = 0;
   // Warm: the buffer grows to the table's maximal multicast width and
-  // every slot's field vector reaches its steady capacity.
+  // every slot's field vector (and the working copy's) reaches its steady
+  // capacity.
   for (const Packet &P : Pkts) {
+    Work = P;
     Buf.reset();
-    M.applyClassifier(P, Buf);
+    M.applyInPlace(Work, Buf);
   }
   uint64_t GrownWarm = Buf.grownCount();
 
   uint64_t Before = GAllocs.load(std::memory_order_relaxed);
   for (int Round = 0; Round != 10; ++Round)
     for (const Packet &P : Pkts) {
+      Work = P;
       Buf.reset();
-      M.applyClassifier(P, Buf);
+      if (M.applyInPlace(Work, Buf) == 1)
+        ++InPlace;
+      Copied += Buf.size();
     }
   uint64_t After = GAllocs.load(std::memory_order_relaxed);
 
   EXPECT_EQ(After - Before, 0u)
       << "steady-state classifier lookups allocated";
   EXPECT_EQ(Buf.grownCount(), GrownWarm) << "PacketBuf grew after warmup";
+  EXPECT_GT(InPlace, 0u) << "no lookup rewrote its packet in place";
+  EXPECT_GT(Copied, 0u) << "no lookup emitted a multi-action leaf's copies";
 }
 
 TEST(ClassifierProperty, EngineFreelistsNeverGrow) {

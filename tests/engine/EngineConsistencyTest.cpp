@@ -15,6 +15,8 @@
 #include "engine/TrafficGen.h"
 #include "faults/FaultPlan.h"
 #include "faults/Injector.h"
+#include "sim/Simulation.h"
+#include "sim/Wire.h"
 
 #include <gtest/gtest.h>
 
@@ -551,6 +553,88 @@ TEST(EngineConsistency, EngineMatchesSimulatorDeliverySemantics) {
   auto R =
       consistency::checkAgainstNes(E.trace(), A.Topo, C->structure());
   EXPECT_TRUE(R.Correct) << R.Reason;
+}
+
+/// Every message popped in one ring batch takes its first hop, in pop
+/// order, before any chain runs on (Engine::drainBatch), so the batch's
+/// injections are all stamped against the registers the batch found, as
+/// the simulator stamps packets emitted together. On the firewall at 1
+/// shard, one batch carries an H1 -> H4 packet, whose arrival at s4 fires
+/// the event, and then an H4 -> H1 packet: H4's is stamped with the
+/// pre-event tag and dropped at s4, as in the simulator. A worker that ran
+/// each popped message's chain to completion would fire the event before
+/// it stamped H4's packet, and deliver that packet.
+TEST(EngineConsistency, BatchStampsEveryInjectionBeforeAnyChainRuns) {
+  apps::App A = apps::firewallApp();
+  api::Result<api::Compilation> C = compileApp(A);
+  ASSERT_TRUE(C.ok()) << C.status().str();
+  const nes::Nes &N = C->structure();
+  std::vector<Injection> Inj = {
+      {topo::HostH1, sim::makeWireHeader(topo::HostH1, topo::HostH4,
+                                         sim::KindData, 1)},
+      {topo::HostH4, sim::makeWireHeader(topo::HostH4, topo::HostH1,
+                                         sim::KindData, 2)}};
+
+  // The simulator emits both at once: H4's packet meets s4 before H1's
+  // crosses the link, so only H1's data packet is delivered (and H4's
+  // host acks it).
+  sim::Simulation Sim(N, A.Topo, sim::Simulation::Mode::Nes);
+  for (const Injection &I : Inj)
+    Sim.scheduleInjection(0, I.From, I.Header);
+  Sim.run(1.0);
+  auto DataTo = [&](HostId H) {
+    unsigned Data = 0;
+    for (const auto &D : Sim.deliveriesTo(H))
+      Data += D.second.getOr(sim::kindField(), -1) == sim::KindData;
+    return Data;
+  };
+  EXPECT_EQ(DataTo(topo::HostH4), 1u);
+  EXPECT_EQ(DataTo(topo::HostH1), 0u) << "the simulator delivered H4's packet";
+
+  // A batch push publishes its ring cells one by one, so the worker may
+  // pop the first injection alone; such a run does not exercise the
+  // contract and is retried on a fresh engine. The batch-occupancy
+  // histogram tells: every hop stays on the one shard, so a run whose
+  // ring gave one batch popped both injections in it.
+  unsigned OneBatch = 0;
+  for (unsigned Attempt = 0; Attempt != 50 && OneBatch == 0; ++Attempt) {
+    EngineConfig Cfg;
+    Cfg.NumShards = 1;
+    Cfg.LatencyHistograms = true;
+    Engine E(N, A.Topo, Cfg);
+    E.start();
+    E.injectBatch(Inj.data(), Inj.size());
+    E.awaitQuiescence();
+    E.finish();
+    Stats St = E.stats();
+    if (St.BatchOccupancy.Samples != 1)
+      continue;
+    ++OneBatch;
+    EXPECT_EQ(St.EventsDetected, 1u);
+    EXPECT_EQ(St.PacketsDelivered, 1u);
+    EXPECT_EQ(St.PacketsDropped, 1u);
+
+    const std::vector<consistency::TraceEntry> &Entries =
+        E.trace().entries();
+    unsigned H4Roots = 0;
+    for (size_t I = 0; I != Entries.size(); ++I) {
+      const consistency::TraceEntry &En = Entries[I];
+      if (En.IsDelivery) {
+        EXPECT_EQ(En.Lp.getOr(sim::ipDstField(), -1),
+                  static_cast<Value>(topo::HostH4))
+            << "H4's packet was delivered";
+      }
+      if (En.Parent >= 0 || En.Lp.sw() != 4)
+        continue;
+      ++H4Roots;
+      EXPECT_EQ(E.traceTags()[I], N.emptySet())
+          << "H4's packet was stamped after the event";
+    }
+    EXPECT_EQ(H4Roots, 1u);
+    auto R = consistency::checkAgainstNes(E.trace(), A.Topo, N);
+    EXPECT_TRUE(R.Correct) << R.Reason;
+  }
+  EXPECT_EQ(OneBatch, 1u) << "no run popped both injections in one batch";
 }
 
 namespace {
